@@ -28,7 +28,7 @@
 namespace ocsp::analysis {
 
 struct CommEffects {
-  // Data effects (may-style over-approximations, as in transform::analyze).
+  // Data effects (may-style over-approximations).
   std::set<std::string> reads;
   std::set<std::string> writes;
 

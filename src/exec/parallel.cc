@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <chrono>
 
-#include "fault/injector.h"
 #include "obs/merge.h"
 #include "sim/scheduler.h"
-#include "speculation/messages.h"
 #include "trace/timeline.h"
 #include "util/check.h"
 
@@ -22,348 +20,55 @@ std::int64_t ns_since(const std::chrono::steady_clock::time_point& epoch) {
 
 }  // namespace
 
-// One shard: a single-threaded slice of the run.  Owns the event kernel,
-// timeline, recorder, inbox, and sender-side link state for the processes
-// assigned to it.  During a window exactly one thread touches it (its
-// worker); between windows, only the coordinator — except the inbox, whose
-// mutex admits remote senders at any time.
-class ParallelRuntime::Shard final : public spec::ExecContext {
- public:
-  Shard(ParallelRuntime& owner, int index) : owner_(owner), index_(index) {}
+// One shard: a host plus its inbox.  During a window exactly one thread
+// touches the host (its worker); between windows, only the coordinator —
+// except the inbox, whose mutex admits remote senders at any time.
+struct ParallelRuntime::Shard final : spec::Host {
+  using Host::Host;
 
-  sim::Scheduler& scheduler() override { return sched_; }
-  trace::Timeline& timeline() override { return timeline_; }
-  obs::RunRecorder& recorder() override { return *recorder_; }
-  ProcessId find(const std::string& name) const override {
-    return owner_.find(name);
-  }
-  std::vector<ProcessId> all_process_ids() const override {
-    return owner_.all_process_ids();
-  }
-  MsgId net_send(ProcessId src, ProcessId dst,
-                 net::MessagePtr payload) override {
-    return owner_.send_from_shard(*this, src, dst, std::move(payload));
-  }
-  // Data plane through this shard's reliable transport when enabled; a
-  // disabled transport is a plain network send in the sequential runtime
-  // too, so both planes share one path.
-  MsgId transport_send(ProcessId src, ProcessId dst,
-                       net::MessagePtr payload) override {
-    if (transport_) return transport_->send(src, dst, std::move(payload));
-    return owner_.send_from_shard(*this, src, dst, std::move(payload));
-  }
-  void on_compute(ProcessId /*id*/, sim::Time duration) override {
-    owner_.burn(duration);
-  }
-
-  /// Sender-side per-link state; seeded lazily exactly as
-  /// net::Network::link_state seeds its private equivalent.
-  struct LinkState {
-    util::Rng rng{0};
-    util::Rng fault_rng{0};
-    std::uint64_t seq = 0;
-    sim::Time fifo_horizon = 0;
-  };
-  LinkState& link_state(ProcessId src, ProcessId dst) {
-    auto it = link_state_.find({src, dst});
-    if (it == link_state_.end()) {
-      it = link_state_.emplace(std::make_pair(src, dst), LinkState{}).first;
-      it->second.rng =
-          net::Network::link_stream(owner_.link_seed_base_, src, dst);
-      it->second.fault_rng =
-          net::Network::link_fault_stream(owner_.link_seed_base_, src, dst);
-    }
-    return it->second;
-  }
-
-  ParallelRuntime& owner_;
-  int index_;
-  sim::Scheduler sched_;
-  trace::Timeline timeline_;
-  std::shared_ptr<obs::RunRecorder> recorder_ =
-      std::make_shared<obs::RunRecorder>();
-  std::map<std::pair<ProcessId, ProcessId>, LinkState> link_state_;
-  net::NetworkStats net_stats_;
-  /// Receive handlers of the processes on this shard (the transport's
-  /// frame demux when reliable delivery is on, the raw process handler
-  /// otherwise) — the shard-local mirror of net::Network's endpoint table.
-  std::map<ProcessId, net::Network::Handler> endpoints_;
-  /// Shard-local recovery stack: one transport (RTO timers live on this
-  /// shard's scheduler) and one injector (stats stay single-writer).
-  std::unique_ptr<net::ReliableTransport> transport_;
-  std::unique_ptr<fault::Injector> injector_;
   /// Cross-shard envelope handoff: remote senders push under the mutex,
   /// the coordinator drains at the window barrier.
-  std::mutex inbox_mu_;
-  std::vector<net::Envelope> inbox_;
+  std::mutex inbox_mu;
+  std::vector<net::Envelope> inbox;
 };
 
-namespace {
-
-ParallelOptions normalize(ParallelOptions o) {
-  // Mirrors spec::Runtime: crash recovery relies on the transport's
-  // parked-delivery NIC model to keep committed data durable; force it on.
-  if (o.fault_plan.has_crashes()) o.reliable.enabled = true;
-  return o;
-}
-
-}  // namespace
-
 ParallelRuntime::ParallelRuntime(ParallelOptions options)
-    : options_(normalize(std::move(options))),
-      workers_(std::max(1, options_.workers)),
-      rng_(options_.seed),
-      // Mirrors spec::Runtime: the network stream is the first split off
-      // the run seed; the seed base is derived from it without advancing.
-      link_seed_base_(net::Network::link_seed_base(rng_.split())),
-      default_link_(options_.default_link) {
-  OCSP_CHECK(default_link_.latency != nullptr);
+    : ProcessTable(options.seed, options.spec),
+      options_(std::move(options)),
+      workers_(std::max(1, options_.workers)) {
   shards_.reserve(static_cast<std::size_t>(workers_));
   for (int i = 0; i < workers_; ++i) {
-    shards_.push_back(std::make_unique<Shard>(*this, i));
-  }
-  for (auto& sp : shards_) {
-    Shard* s = sp.get();
-    if (options_.reliable.enabled) {
-      // One transport per shard: frames/acks go out through the shard's
-      // own deterministic send path and its RTO timers are shard-local
-      // events.  Per-shard frame sequence numbers never collide at the
-      // receiver — dedup keys on (sender, seq) and each sender lives on
-      // exactly one shard.
-      s->transport_ = std::make_unique<net::ReliableTransport>(
-          [this, s](ProcessId src, ProcessId dst, net::MessagePtr payload) {
-            return send_from_shard(*s, src, dst, std::move(payload));
-          },
-          [s](ProcessId id, net::Network::Handler handler) {
-            s->endpoints_[id] = std::move(handler);
-          },
-          s->sched_, options_.reliable);
-      s->transport_->set_retransmit_observer(
-          [s](ProcessId src, ProcessId dst, std::uint64_t seq, int attempt) {
-            obs::Event ev;
-            ev.kind = obs::EventKind::kRetransmit;
-            ev.when = s->sched_.now();
-            ev.process = src;
-            ev.peer = dst;
-            ev.msg_id = seq;
-            ev.a = static_cast<std::uint64_t>(attempt);
-            s->recorder_->record(std::move(ev));
-          });
-      s->transport_->set_duplicate_observer(
-          [s](ProcessId dst, ProcessId src, std::uint64_t seq) {
-            obs::Event ev;
-            ev.kind = obs::EventKind::kDuplicateSuppressed;
-            ev.when = s->sched_.now();
-            ev.process = dst;
-            ev.peer = src;
-            ev.msg_id = seq;
-            s->recorder_->record(std::move(ev));
-          });
-    }
-    if (options_.fault_plan.enabled) {
-      // One injector per shard (decisions fire on the sender's shard);
-      // the plan is pure data, so every copy decides identically.
-      s->injector_ = std::make_unique<fault::Injector>(options_.fault_plan);
-      s->injector_->set_observer([s](const net::Envelope& env,
-                                     const net::FaultDecision& fd) {
-        obs::Event ev;
-        ev.kind = obs::EventKind::kFaultInjected;
-        ev.when = s->sched_.now();
-        ev.process = env.src;
-        ev.peer = env.dst;
-        ev.msg_id = env.id;
-        ev.a = fd.drop ? 1 : (fd.corrupt ? 2 : 3);
-        ev.detail = fd.cause;
-        s->recorder_->record(std::move(ev));
-      });
-    }
+    // Every shard network draws from the same per-link seed base, so a
+    // link's draws do not depend on which shard hosts its sender.
+    shards_.push_back(std::make_unique<Shard>(
+        net_stream(), options_.default_link, /*per_link=*/true,
+        options_.fault_plan, options_.reliable));
+    Shard& s = *shards_.back();
+    // Cross-shard: delivered_at >= now + lookahead lands at or after the
+    // window fence, so parking it in the inbox until the barrier never
+    // delays it past its due time.
+    s.network().set_router([this, &s](const net::Envelope& env) {
+      Shard& dest = *shards_[shard_of(env.dst)];
+      if (&dest == &s) return false;
+      std::lock_guard<std::mutex> lk(dest.inbox_mu);
+      dest.inbox.push_back(env);
+      return true;
+    });
+    s.set_compute_hook([this](sim::Time duration) { burn(duration); });
   }
 }
 
 ParallelRuntime::~ParallelRuntime() { stop_workers(); }
 
-ProcessId ParallelRuntime::add_process(
-    std::string name, csp::StmtPtr program, csp::Env initial_env,
-    std::optional<spec::SpecConfig> spec_override) {
-  OCSP_CHECK_MSG(!started_, "add_process after run() started");
-  OCSP_CHECK_MSG(names_.count(name) == 0, "duplicate process name");
-  const ProcessId id = static_cast<ProcessId>(processes_.size());
-  const spec::SpecConfig spec = spec_override.value_or(options_.spec);
-  Shard& shard = *shards_[static_cast<std::size_t>(shard_of(id))];
-  processes_.push_back(std::make_unique<spec::SpeculativeProcess>(
-      shard, id, name, std::move(program), std::move(initial_env), spec,
-      rng_.split()));
-  names_.emplace(std::move(name), id);
-  // Mirror spec::Runtime::add_process: receive slots go through the
-  // shard's transport when one exists (incarnation tags in, peer
-  // incarnation observations out), else straight to the process.
-  net::Network::Handler handler = [this, id](const net::Envelope& env) {
-    processes_[id]->on_message(env);
-  };
-  if (shard.transport_) {
-    shard.transport_->register_endpoint(
-        id, std::move(handler),
-        [this, id]() { return processes_[id]->incarnation_tag(); },
-        [this, id](ProcessId src, net::IncarnationTag tag) {
-          processes_[id]->observe_peer_incarnation(src, tag.incarnation,
-                                                   tag.start_index);
-        });
-  } else {
-    shard.endpoints_[id] = std::move(handler);
-  }
-  return id;
+spec::Host& ParallelRuntime::host_for(ProcessId id) {
+  return *shards_[shard_of(id)];
 }
 
 void ParallelRuntime::set_link(ProcessId src, ProcessId dst,
                                net::LinkConfig config) {
-  OCSP_CHECK_MSG(!started_, "set_link after run() started");
-  OCSP_CHECK(config.latency != nullptr);
-  links_[{src, dst}] = std::move(config);
-}
-
-const net::LinkConfig& ParallelRuntime::link_for(ProcessId src,
-                                                 ProcessId dst) const {
-  auto it = links_.find({src, dst});
-  return it == links_.end() ? default_link_ : it->second;
-}
-
-MsgId ParallelRuntime::send_from_shard(Shard& from, ProcessId src,
-                                       ProcessId dst,
-                                       net::MessagePtr payload) {
-  OCSP_CHECK(payload != nullptr);
-  // Replicates net::Network::send in per-link mode, draw for draw: id and
-  // priority from the link sequence number, drop then latency from the
-  // link's own stream, FIFO horizon per link.
-  Shard::LinkState& ls = from.link_state(src, dst);
-  const MsgId id = net::Network::link_msg_id(src, dst, ++ls.seq);
-  const net::LinkConfig& link = link_for(src, dst);
-  const sim::Time now = from.sched_.now();
-
-  ++from.net_stats_.messages_sent;
-  from.net_stats_.bytes_sent += payload->wire_size();
-
-  if (link.drop_probability > 0.0 &&
-      (!link.drop_filter || link.drop_filter(*payload)) &&
-      ls.rng.bernoulli(link.drop_probability)) {
-    ++from.net_stats_.messages_dropped;
-    net::Envelope env;
-    env.id = id;
-    env.src = src;
-    env.dst = dst;
-    env.sent_at = now;
-    env.delivered_at = 0;  // dropped
-    env.payload = std::move(payload);
-    from.recorder_->record(
-        spec::make_msg_event(obs::EventKind::kMsgSent, env, now));
-    return id;
-  }
-
-  sim::Time delay = link.latency->sample(ls.rng);
-  if (link.bandwidth_bytes_per_sec > 0) {
-    const double serialize =
-        static_cast<double>(payload->wire_size()) /
-        static_cast<double>(link.bandwidth_bytes_per_sec) * 1e9;
-    delay += static_cast<sim::Time>(serialize);
-  }
-
-  sim::Time deliver_at = now + delay;
-  if (link.fifo) {
-    deliver_at = std::max(deliver_at, ls.fifo_horizon);
-    ls.fifo_horizon = deliver_at;
-  }
-
-  net::Envelope env;
-  env.id = id;
-  env.src = src;
-  env.dst = dst;
-  env.sent_at = now;
-  env.delivered_at = deliver_at;
-  env.payload = std::move(payload);
-
-  // Fault injection, exactly as net::Network::send orders it: decided
-  // after the latency/FIFO computation (so fault plans never perturb the
-  // schedule of surviving messages), drawing from the link's own fault
-  // stream (so outcomes are identical at every worker count).
-  net::FaultDecision fault;
-  if (from.injector_) fault = from.injector_->decide(env, ls.fault_rng);
-
-  if (fault.drop || fault.corrupt) {
-    if (fault.corrupt) {
-      ++from.net_stats_.faults_corrupted;
-    } else {
-      ++from.net_stats_.faults_dropped;
-    }
-    net::Envelope lost = env;
-    lost.delivered_at = 0;  // never delivered
-    from.recorder_->record(
-        spec::make_msg_event(obs::EventKind::kMsgSent, lost, now));
-    return id;
-  }
-
-  from.recorder_->record(
-      spec::make_msg_event(obs::EventKind::kMsgSent, env, now));
-  route_envelope(from, env);
-
-  for (int i = 0; i < fault.duplicates; ++i) {
-    ++from.net_stats_.faults_duplicated;
-    net::Envelope dup = env;
-    dup.delivered_at =
-        deliver_at + sim::microseconds(1 + ls.fault_rng.uniform_int(0, 200));
-    route_envelope(from, dup);
-  }
-  return id;
-}
-
-void ParallelRuntime::route_envelope(Shard& from, const net::Envelope& env) {
-  Shard& dest = *shards_[static_cast<std::size_t>(shard_of(env.dst))];
-  if (&dest == &from) {
-    // Same shard: straight into our own queue; no other thread can touch
-    // it during the window.
-    schedule_delivery(dest, env);
-  } else {
-    // Cross-shard: delivered_at >= now + lookahead lands at or after the
-    // window fence, so parking it in the inbox until the barrier never
-    // delays it past its due time.
-    std::lock_guard<std::mutex> lk(dest.inbox_mu_);
-    dest.inbox_.push_back(env);
-  }
-}
-
-void ParallelRuntime::schedule_delivery(Shard& dest,
-                                        const net::Envelope& env) {
-  // The same-time priority is a pure function of the message identity,
-  // recoverable from the deterministic id (low 32 bits = link sequence).
-  const std::uint64_t prio =
-      net::Network::link_prio(env.src, env.dst, env.id & 0xffffffff);
-  dest.sched_.at(env.delivered_at, prio, [&dest, env]() {
-    // Counter, handler, tracer — the sequential network's exact order.
-    // The handler is looked up at fire time (as Network does): a frame
-    // demux handler installed by the shard's transport, or the raw
-    // process handler.
-    auto it = dest.endpoints_.find(env.dst);
-    OCSP_CHECK_MSG(it != dest.endpoints_.end(),
-                   "delivery to unknown endpoint");
-    ++dest.net_stats_.messages_delivered;
-    it->second(env);
-    dest.recorder_->record(spec::make_msg_event(
-        obs::EventKind::kMsgDelivered, env, dest.sched_.now()));
-  });
-}
-
-void ParallelRuntime::crash_process(ProcessId id) {
-  // Same order as spec::Runtime::crash_process: the NIC goes down first,
-  // so in-flight frames are acked-and-parked from this instant on.
-  OCSP_CHECK(id < processes_.size());
-  Shard& shard = *shards_[static_cast<std::size_t>(shard_of(id))];
-  if (shard.transport_) shard.transport_->set_down(id, true);
-  processes_[id]->crash();
-}
-
-void ParallelRuntime::restart_process(ProcessId id) {
-  OCSP_CHECK(id < processes_.size());
-  Shard& shard = *shards_[static_cast<std::size_t>(shard_of(id))];
-  processes_[id]->restart();
-  if (shard.transport_) shard.transport_->set_down(id, false);
+  OCSP_CHECK_MSG(!started(), "set_link after run() started");
+  // Only the sender's network ever draws for the link.
+  host_for(src).network().set_link(src, dst, std::move(config));
 }
 
 void ParallelRuntime::burn(sim::Time duration) const {
@@ -401,7 +106,7 @@ void ParallelRuntime::start_workers() {
           seen = bar_.epoch;
           target = bar_.target;
         }
-        shards_[static_cast<std::size_t>(i)]->sched_.run_until(target);
+        shards_[static_cast<std::size_t>(i)]->scheduler().run_until(target);
         {
           std::lock_guard<std::mutex> lk(bar_.m);
           if (--bar_.running == 0) bar_.cv.notify_all();
@@ -432,7 +137,7 @@ void ParallelRuntime::run_window(sim::Time target) {
     }
     bar_.cv.notify_all();
   }
-  shards_[0]->sched_.run_until(target);
+  shards_[0]->scheduler().run_until(target);
   if (workers_ > 1) {
     std::unique_lock<std::mutex> lk(bar_.m);
     bar_.cv.wait(lk, [&]() { return bar_.running == 0; });
@@ -440,38 +145,23 @@ void ParallelRuntime::run_window(sim::Time target) {
 }
 
 sim::Time ParallelRuntime::run(sim::Time deadline) {
-  OCSP_CHECK_MSG(!started_, "ParallelRuntime::run is single-shot");
-  started_ = true;
-  lookahead_ = default_link_.latency->min_delay();
-  for (const auto& [pair, link] : links_) {
-    lookahead_ = std::min(lookahead_, link.latency->min_delay());
+  OCSP_CHECK_MSG(!started(), "ParallelRuntime::run is single-shot");
+  lookahead_ = sim::kTimeNever;
+  for (auto& s : shards_) {
+    lookahead_ = std::min(lookahead_, s->network().min_link_delay());
   }
   OCSP_CHECK_MSG(lookahead_ > 0,
                  "parallel execution needs a positive minimum link latency");
 
   const auto epoch = std::chrono::steady_clock::now();
   for (auto& s : shards_) {
-    s->recorder_->set_wall_clock([epoch]() { return ns_since(epoch); });
+    s->recorder().set_wall_clock([epoch]() { return ns_since(epoch); });
   }
-  for (auto& p : processes_) p->start();
-  if (options_.fault_plan.enabled) {
-    // Crash/restart events live in the victim's shard queue at their plan
-    // times (inserted after the starts, matching the sequential runtime's
-    // insertion order).  They participate in GVT like any pending event, so
-    // a crash at virtual time T fires inside the window containing T —
-    // no shard can have advanced past it — and the incarnation bump
-    // propagates to remote dependents as ordinary messages through the
-    // inboxes drained at the next barrier.
-    for (const auto& c : options_.fault_plan.crashes) {
-      OCSP_CHECK_MSG(c.process < processes_.size(),
-                     "crash event for unknown process");
-      OCSP_CHECK_MSG(c.restart_at > c.at, "crash restart precedes crash");
-      Shard& shard = *shards_[static_cast<std::size_t>(shard_of(c.process))];
-      shard.sched_.at(c.at, [this, c]() { crash_process(c.process); });
-      shard.sched_.at(c.restart_at,
-                      [this, c]() { restart_process(c.process); });
-    }
-  }
+  // A crash at virtual time T sits in the victim's shard queue and takes
+  // part in GVT like any pending event, so it fires inside the window
+  // containing T; its incarnation bump reaches remote dependents as
+  // ordinary messages through the inboxes drained at the next barrier.
+  start(options_.fault_plan);
   start_workers();
 
   std::vector<std::uint64_t> prev_fired(shards_.size(), 0);
@@ -484,19 +174,19 @@ sim::Time ParallelRuntime::run(sim::Time deadline) {
     for (auto& s : shards_) {
       std::vector<net::Envelope> pending;
       {
-        std::lock_guard<std::mutex> lk(s->inbox_mu_);
-        pending.swap(s->inbox_);
+        std::lock_guard<std::mutex> lk(s->inbox_mu);
+        pending.swap(s->inbox);
       }
-      for (net::Envelope& env : pending) {
+      for (const net::Envelope& env : pending) {
         min_drained = std::min(min_drained, env.delivered_at);
-        schedule_delivery(*s, env);
+        s->network().deliver(env);
       }
     }
 
     // (2) GVT: earliest pending event anywhere.  Every drained delivery is
     // already enqueued, so nothing in flight can precede it.
     sim::Time gvt = sim::kTimeNever;
-    for (auto& s : shards_) gvt = std::min(gvt, s->sched_.next_time());
+    for (auto& s : shards_) gvt = std::min(gvt, s->scheduler().next_time());
     if (gvt == sim::kTimeNever) break;
     if (deadline != sim::kTimeNever && gvt > deadline) break;
     if (first_window || gvt > prev_gvt) ++gvt_advances_;
@@ -506,12 +196,14 @@ sim::Time ParallelRuntime::run(sim::Time deadline) {
     // (3) Fossil-collect checkpoints below the speculation floor, clamped
     // to GVT so the fence never outruns commit finality.
     sim::Time floor = sim::kTimeNever;
-    for (auto& p : processes_) {
-      floor = std::min(floor, p->speculation_floor());
+    for (ProcessId id = 0; id < process_count(); ++id) {
+      floor = std::min(floor, process(id).speculation_floor());
     }
     const sim::Time fence = std::min(floor, gvt);
     std::uint64_t freed = 0;
-    for (auto& p : processes_) freed += p->fossil_collect(fence);
+    for (ProcessId id = 0; id < process_count(); ++id) {
+      freed += process(id).fossil_collect(fence);
+    }
 
     // (4) Run the window [gvt, end) on all shards concurrently.  Events in
     // it are cross-shard independent: anything they send lands >= gvt + L.
@@ -522,7 +214,7 @@ sim::Time ParallelRuntime::run(sim::Time deadline) {
 
     std::uint64_t fired = 0;
     for (std::size_t i = 0; i < shards_.size(); ++i) {
-      const std::uint64_t total = shards_[i]->sched_.fired_count();
+      const std::uint64_t total = shards_[i]->scheduler().fired_count();
       fired += total - prev_fired[i];
       prev_fired[i] = total;
     }
@@ -535,167 +227,45 @@ sim::Time ParallelRuntime::run(sim::Time deadline) {
   // at the final window's end, up to one lookahead past the last event,
   // but the sequential scheduler's post-drain clock is its last event.
   sim::Time latest = 0;
-  for (auto& s : shards_) latest = std::max(latest, s->sched_.last_fired());
+  for (auto& s : shards_) {
+    latest = std::max(latest, s->scheduler().last_fired());
+  }
   return latest;
 }
 
-spec::SpeculativeProcess& ParallelRuntime::process(ProcessId id) {
-  OCSP_CHECK(id < processes_.size());
-  return *processes_[id];
-}
-
-const spec::SpeculativeProcess& ParallelRuntime::process(
-    ProcessId id) const {
-  OCSP_CHECK(id < processes_.size());
-  return *processes_[id];
-}
-
-ProcessId ParallelRuntime::find(const std::string& name) const {
-  auto it = names_.find(name);
-  OCSP_CHECK_MSG(it != names_.end(), ("unknown process: " + name).c_str());
-  return it->second;
-}
-
-std::vector<ProcessId> ParallelRuntime::all_process_ids() const {
-  std::vector<ProcessId> out;
-  out.reserve(processes_.size());
-  for (std::size_t i = 0; i < processes_.size(); ++i) {
-    out.push_back(static_cast<ProcessId>(i));
-  }
-  return out;
-}
-
-std::vector<std::string> ParallelRuntime::process_names() const {
-  std::vector<std::string> names;
-  names.reserve(processes_.size());
-  for (const auto& p : processes_) names.push_back(p->name());
-  return names;
-}
-
-trace::CommittedTrace ParallelRuntime::committed_trace() const {
-  trace::CommittedTrace trace;
-  for (const auto& p : processes_) {
-    for (const auto& e : p->committed_events()) trace.append(e);
-  }
-  return trace;
-}
-
-spec::SpecStats ParallelRuntime::total_stats() const {
-  spec::SpecStats total;
-  for (const auto& p : processes_) total.merge(p->stats());
-  return total;
-}
-
 obs::MetricsRegistry ParallelRuntime::metrics() const {
-  obs::MetricsRegistry m;
-  for (const auto& p : processes_) m.merge(p->metrics_view());
-  const std::uint64_t verified = m.counter_or("guesses_verified");
-  const std::uint64_t failed = m.counter_or("guesses_failed");
-  if (verified + failed > 0) {
-    m.gauge("guess_accuracy") = static_cast<double>(verified) /
-                                static_cast<double>(verified + failed);
-  }
-  obs::update_sharing_ratio_gauge(m);
-  std::uint64_t fired = 0;
-  std::size_t peak = 0;
-  for (const auto& s : shards_) {
-    fired += s->sched_.fired_count();
-    peak = std::max(peak, s->sched_.peak_pending());
-  }
-  m.counter("sim_events_fired") += fired;
-  m.gauge("sim_peak_pending") = static_cast<double>(peak);
-  const net::NetworkStats net = network_stats();
-  m.counter("net_messages_sent") += net.messages_sent;
-  m.counter("net_messages_delivered") += net.messages_delivered;
-  m.counter("net_messages_dropped") += net.messages_dropped;
-  m.counter("net_bytes_sent") += net.bytes_sent;
-  m.counter("net_faults_dropped") += net.faults_dropped;
-  m.counter("net_faults_corrupted") += net.faults_corrupted;
-  m.counter("net_faults_duplicated") += net.faults_duplicated;
-  if (options_.reliable.enabled) {
-    net::ReliableStats rs;
-    for (const auto& s : shards_) {
-      const net::ReliableStats& ss = s->transport_->stats();
-      rs.frames_sent += ss.frames_sent;
-      rs.retransmissions += ss.retransmissions;
-      rs.retransmit_exhausted += ss.retransmit_exhausted;
-      rs.acks_sent += ss.acks_sent;
-      rs.duplicates_suppressed += ss.duplicates_suppressed;
-      rs.parked_deliveries += ss.parked_deliveries;
-    }
-    m.counter("reliable_frames_sent") += rs.frames_sent;
-    m.counter("retransmissions") += rs.retransmissions;
-    m.counter("retransmit_exhausted") += rs.retransmit_exhausted;
-    m.counter("acks_sent") += rs.acks_sent;
-    m.counter("duplicates_suppressed") += rs.duplicates_suppressed;
-    m.counter("parked_deliveries") += rs.parked_deliveries;
-  }
-  if (options_.fault_plan.enabled) {
-    fault::InjectorStats fs;
-    for (const auto& s : shards_) {
-      const fault::InjectorStats& ss = s->injector_->stats();
-      fs.drops += ss.drops;
-      fs.duplicates += ss.duplicates;
-      fs.corruptions += ss.corruptions;
-      fs.partition_drops += ss.partition_drops;
-    }
-    m.counter("faults_injected") += fs.total();
-    m.counter("fault_partition_drops") += fs.partition_drops;
-  }
+  obs::MetricsRegistry m = merged_process_metrics();
+  for (const auto& s : shards_) s->add_counters(m);
   m.counter("gvt_windows") += windows_.size();
   m.counter("gvt_advances") += gvt_advances_;
   return m;
 }
 
-sim::Time ParallelRuntime::last_completion_time() const {
-  sim::Time latest = 0;
-  for (const auto& p : processes_) {
-    if (p->completed()) latest = std::max(latest, p->completion_time());
-  }
-  return latest;
-}
-
-bool ParallelRuntime::all_clients_completed() const {
-  bool any = false;
-  for (const auto& p : processes_) {
-    if (p->completed()) any = true;
-  }
-  return any;
-}
-
 std::size_t ParallelRuntime::timeline_rollbacks() const {
   std::size_t n = 0;
   for (const auto& s : shards_) {
-    n += s->timeline_.count(trace::TimelineEntry::Kind::kRollback);
+    n += s->timeline().count(trace::TimelineEntry::Kind::kRollback);
   }
   return n;
 }
 
 net::NetworkStats ParallelRuntime::network_stats() const {
   net::NetworkStats total;
-  for (const auto& s : shards_) {
-    total.messages_sent += s->net_stats_.messages_sent;
-    total.messages_delivered += s->net_stats_.messages_delivered;
-    total.messages_dropped += s->net_stats_.messages_dropped;
-    total.bytes_sent += s->net_stats_.bytes_sent;
-    total.faults_dropped += s->net_stats_.faults_dropped;
-    total.faults_corrupted += s->net_stats_.faults_corrupted;
-    total.faults_duplicated += s->net_stats_.faults_duplicated;
-  }
+  for (const auto& s : shards_) total.merge(s->network().stats());
   return total;
 }
 
 std::shared_ptr<obs::RunRecorder> ParallelRuntime::merged_recorder() const {
   std::vector<const obs::RunRecorder*> parts;
   parts.reserve(shards_.size());
-  for (const auto& s : shards_) parts.push_back(s->recorder_.get());
+  for (const auto& s : shards_) parts.push_back(&s->recorder());
   return obs::merge_recorders(parts);
 }
 
 std::shared_ptr<obs::RunRecorder> ParallelRuntime::shard_recorder(
     int shard) const {
   OCSP_CHECK(shard >= 0 && shard < workers_);
-  return shards_[static_cast<std::size_t>(shard)]->recorder_;
+  return shards_[static_cast<std::size_t>(shard)]->shared_recorder();
 }
 
 ParallelRunResult run_scenario_parallel(const baseline::Scenario& scenario,

@@ -1,11 +1,20 @@
 // exec::ParallelRuntime: the speculation protocol on sharded worker threads.
 //
 // The deterministic simulator (spec::Runtime) runs every process on one
-// event kernel; this executor partitions processes across shards — one
-// discrete-event scheduler, timeline, and recorder per shard — and runs the
-// shards on real threads.  The protocol implementation is untouched:
-// SpeculativeProcess talks to its shard through the same spec::ExecContext
-// interface the sequential runtime implements.
+// host; this executor builds one host per shard (speculation/host.h: event
+// kernel, network, transport, injector, timeline, recorder) and runs the
+// shards on real threads.  Processes live in the executor's process table
+// (speculation/process_table.h), assigned round-robin to shards, and the
+// protocol implementation is untouched: a SpeculativeProcess runs against
+// its shard's host exactly as it runs against the simulator.
+//
+// One send path: every shard's net::Network runs in per-link mode over the
+// same seed base, so net::Network::send is the only code that decides a
+// message's fate (loss, latency, bandwidth, FIFO, fault verdict, send
+// trace, duplicates) on every executor.  An envelope for a process on
+// another shard goes to the network's routing hook, which parks it in the
+// destination shard's inbox; at the window barrier the coordinator queues
+// it through the destination network's own net::Network::deliver.
 //
 // Synchronization is a conservative window barrier (bounded-lag / YAWNS
 // style), which in OCSP's setting is exactly a GVT fence:
@@ -37,44 +46,37 @@
 // global sequential run (deliveries carry unique (when, prio) keys; local
 // events of one process keep their relative insertion order).
 //
-// Memory ordering: all shard state (schedulers, processes, recorders,
-// link-state maps, transports, injectors) is owned by exactly one thread
-// during a window and by the coordinator between windows; every ownership
-// handoff goes through the barrier mutex, which establishes the
-// happens-before edges.  The only concurrently-touched structures are the
-// per-shard inbox mutexes.
+// Memory ordering: all shard state (hosts and the processes on them) is
+// owned by exactly one thread during a window and by the coordinator
+// between windows; every ownership handoff goes through the barrier mutex,
+// which establishes the happens-before edges.  The only concurrently
+// touched structures are the per-shard inbox mutexes.
 //
 // Faults under sharding (DESIGN.md section 13): fault plans and the
 // reliable transport run here with the same semantics as the simulator.
 // Fault decisions draw from per-link fault streams
 // (net::Network::link_fault_stream), so drop/duplicate/corrupt/partition
 // outcomes are pure functions of (link, per-link seq) — identical at every
-// worker count.  Each shard hosts its own ReliableTransport over its own
-// scheduler, so retransmission timers are shard-local events fenced by the
-// window barrier like any other (a retransmit fired at t lands at or after
-// t + L, hence never below GVT).  Crash/restart events are scheduled into
-// the victim's shard queue at their plan times: a crash at virtual time T
-// fires inside the window containing T, and the incarnation bump it causes
-// reaches remote dependents as ordinary messages (explicit ABORTs, or tags
-// piggybacked on reliable frames) through the MPSC inboxes, driving
-// SpeculativeProcess::observe_peer_incarnation's rollback fixpoint across
-// shard boundaries.
+// worker count.  Each shard's host has its own ReliableTransport over its
+// own scheduler, so retransmission timers are shard-local events fenced by
+// the window barrier like any other (a retransmit fired at t lands at or
+// after t + L, hence never below GVT).  Crash/restart events are scheduled
+// into the victim's shard queue at their plan times: a crash at virtual
+// time T fires inside the window containing T, and the incarnation bump it
+// causes reaches remote dependents as ordinary messages (explicit ABORTs,
+// or tags piggybacked on reliable frames) through the MPSC inboxes,
+// driving SpeculativeProcess::observe_peer_incarnation's rollback fixpoint
+// across shard boundaries.
 #pragma once
 
 #include <condition_variable>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
-#include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "baseline/scenario.h"
-#include "csp/env.h"
-#include "csp/program.h"
 #include "fault/plan.h"
 #include "net/network.h"
 #include "net/reliable.h"
@@ -82,11 +84,9 @@
 #include "obs/recorder.h"
 #include "sim/time.h"
 #include "speculation/config.h"
-#include "speculation/process.h"
-#include "speculation/stats.h"
-#include "trace/events.h"
+#include "speculation/host.h"
+#include "speculation/process_table.h"
 #include "util/ids.h"
-#include "util/rng.h"
 
 namespace ocsp::exec {
 
@@ -102,7 +102,7 @@ struct ParallelOptions {
   /// semantics to spec::RuntimeOptions::fault_plan.  Plans with crashes
   /// force `reliable.enabled` on, exactly as the sequential runtime does.
   fault::FaultPlan fault_plan;
-  /// Ack/retransmit transport config; one transport instance per shard.
+  /// Ack/retransmit transport config; one transport per shard host.
   net::ReliableConfig reliable;
   /// Wall-nanoseconds of real busy-spin per virtual nanosecond of Compute.
   /// 0 (default) burns nothing: virtual time, traces, and counters are
@@ -132,20 +132,13 @@ struct WindowStats {
   std::uint64_t checkpoints_freed = 0; ///< fossil-collected checkpoints
 };
 
-class ParallelRuntime {
+class ParallelRuntime final : public spec::ProcessTable {
  public:
   explicit ParallelRuntime(ParallelOptions options = {});
   ~ParallelRuntime();
 
   ParallelRuntime(const ParallelRuntime&) = delete;
   ParallelRuntime& operator=(const ParallelRuntime&) = delete;
-
-  /// Register a process (same contract as spec::Runtime::add_process).
-  /// RNG streams are split in registration order, mirroring the sequential
-  /// runtime's derivation exactly.
-  ProcessId add_process(std::string name, csp::StmtPtr program,
-                        csp::Env initial_env = {},
-                        std::optional<spec::SpecConfig> spec_override = {});
 
   /// Override the link for the ordered pair (src, dst).  Call before run().
   void set_link(ProcessId src, ProcessId dst, net::LinkConfig config);
@@ -163,25 +156,9 @@ class ParallelRuntime {
   sim::Time lookahead() const { return lookahead_; }
   const std::vector<WindowStats>& windows() const { return windows_; }
 
-  spec::SpeculativeProcess& process(ProcessId id);
-  const spec::SpeculativeProcess& process(ProcessId id) const;
-  ProcessId find(const std::string& name) const;
-  std::size_t process_count() const { return processes_.size(); }
-  std::vector<ProcessId> all_process_ids() const;
-  std::vector<std::string> process_names() const;
-
-  /// Committed observable events of every process (Theorem 1 oracle);
-  /// process-id append order, identical to spec::Runtime::committed_trace.
-  trace::CommittedTrace committed_trace() const;
-
-  spec::SpecStats total_stats() const;
-
-  /// Run-wide metrics, mirroring spec::Runtime::metrics, plus the
-  /// executor's own gvt_windows / gvt_advances counters.
+  /// Run-wide metrics, as spec::Runtime::metrics with every shard's host
+  /// counters summed, plus the executor's own gvt_windows / gvt_advances.
   obs::MetricsRegistry metrics() const;
-
-  sim::Time last_completion_time() const;
-  bool all_clients_completed() const;
 
   /// Rollback entries across all shard timelines.
   std::size_t timeline_rollbacks() const;
@@ -191,16 +168,14 @@ class ParallelRuntime {
   net::NetworkStats network_stats() const;
 
   /// All shard event streams merged by (virtual time, shard); wall_ns
-  /// stamps survive, so the dual-clock profiler runs on this unchanged.
+  /// stamps survive the merge.
   std::shared_ptr<obs::RunRecorder> merged_recorder() const;
 
   /// Per-shard recorder (shards=1 oracle compares stream 0 bit-for-bit).
   std::shared_ptr<obs::RunRecorder> shard_recorder(int shard) const;
 
-  const ParallelOptions& options() const { return options_; }
-
  private:
-  class Shard;
+  struct Shard;
 
   /// Epoch barrier between the coordinator and the worker pool.  All shard
   /// state handoffs ride on `m`: workers read `target` under it and report
@@ -215,16 +190,10 @@ class ParallelRuntime {
     bool shutdown = false;
   };
 
-  int shard_of(ProcessId id) const {
-    return static_cast<int>(id % static_cast<ProcessId>(workers_));
+  std::size_t shard_of(ProcessId id) const {
+    return static_cast<std::size_t>(id % static_cast<ProcessId>(workers_));
   }
-  const net::LinkConfig& link_for(ProcessId src, ProcessId dst) const;
-  MsgId send_from_shard(Shard& from, ProcessId src, ProcessId dst,
-                        net::MessagePtr payload);
-  void route_envelope(Shard& from, const net::Envelope& env);
-  void schedule_delivery(Shard& dest, const net::Envelope& env);
-  void crash_process(ProcessId id);
-  void restart_process(ProcessId id);
+  spec::Host& host_for(ProcessId id) override;
   void burn(sim::Time duration) const;
   void run_window(sim::Time target);
   void start_workers();
@@ -232,17 +201,10 @@ class ParallelRuntime {
 
   ParallelOptions options_;
   int workers_ = 1;
-  util::Rng rng_;
-  std::uint64_t link_seed_base_ = 0;
-  net::LinkConfig default_link_;
-  std::map<std::pair<ProcessId, ProcessId>, net::LinkConfig> links_;
   sim::Time lookahead_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<std::unique_ptr<spec::SpeculativeProcess>> processes_;
-  std::map<std::string, ProcessId> names_;
   std::vector<WindowStats> windows_;
   std::uint64_t gvt_advances_ = 0;
-  bool started_ = false;
   Barrier bar_;
   std::vector<std::thread> pool_;
 };

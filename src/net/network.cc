@@ -36,15 +36,11 @@ const LinkConfig& Network::link_for(ProcessId src, ProcessId dst) const {
   return it == links_.end() ? default_link_ : it->second;
 }
 
-void Network::enable_per_link_streams(std::uint64_t seed_base) {
+void Network::enable_per_link_streams() {
   OCSP_CHECK_MSG(stats_.messages_sent == 0,
                  "enable_per_link_streams after the first send");
   per_link_ = true;
-  per_link_seed_base_ = seed_base;
-}
-
-void Network::enable_per_link_streams() {
-  enable_per_link_streams(link_seed_base(rng_));
+  per_link_seed_base_ = link_seed_base(rng_);
 }
 
 std::uint64_t Network::link_seed_base(const util::Rng& rng) {
@@ -102,8 +98,6 @@ MsgId Network::send(ProcessId src, ProcessId dst, MessagePtr payload) {
   OCSP_CHECK(payload != nullptr);
   LinkState* ls = per_link_ ? &link_state(src, dst) : nullptr;
   const MsgId id = ls ? link_msg_id(src, dst, ++ls->seq) : next_msg_id_++;
-  const std::uint64_t prio =
-      ls ? link_prio(src, dst, ls->seq) : sim::Scheduler::kDefaultPrio;
   util::Rng& draws = ls ? ls->rng : rng_;
   const LinkConfig& link = link_for(src, dst);
 
@@ -179,7 +173,7 @@ MsgId Network::send(ProcessId src, ProcessId dst, MessagePtr payload) {
   }
 
   if (send_tracer_) send_tracer_(env);
-  schedule_delivery(env, prio);
+  route(env);
 
   for (int i = 0; i < fault.duplicates; ++i) {
     ++stats_.faults_duplicated;
@@ -188,12 +182,21 @@ MsgId Network::send(ProcessId src, ProcessId dst, MessagePtr payload) {
         deliver_at + sim::microseconds(1 + fault_draws.uniform_int(0, 200));
     OCSP_DLOG << "net: fault duplicate #" << id << " " << src << "->" << dst
               << " @" << dup.delivered_at << " (" << fault.cause << ")";
-    schedule_delivery(dup, prio);
+    route(dup);
   }
   return id;
 }
 
-void Network::schedule_delivery(const Envelope& env, std::uint64_t prio) {
+void Network::route(const Envelope& env) {
+  if (router_ && router_(env)) return;
+  deliver(env);
+}
+
+void Network::deliver(const Envelope& env) {
+  // The low 32 bits of a per-link id are the link sequence number.
+  const std::uint64_t prio =
+      per_link_ ? link_prio(env.src, env.dst, env.id & 0xffffffff)
+                : sim::Scheduler::kDefaultPrio;
   sched_.at(env.delivered_at, prio, [this, env]() {
     auto it = endpoints_.find(env.dst);
     OCSP_CHECK_MSG(it != endpoints_.end(), "delivery to unknown endpoint");

@@ -51,6 +51,16 @@ struct NetworkStats {
   std::uint64_t faults_dropped = 0;
   std::uint64_t faults_corrupted = 0;
   std::uint64_t faults_duplicated = 0;
+
+  void merge(const NetworkStats& o) {
+    messages_sent += o.messages_sent;
+    messages_delivered += o.messages_delivered;
+    messages_dropped += o.messages_dropped;
+    bytes_sent += o.bytes_sent;
+    faults_dropped += o.faults_dropped;
+    faults_corrupted += o.faults_corrupted;
+    faults_duplicated += o.faults_duplicated;
+  }
 };
 
 /// Verdict of the fault hook for one send.  `corrupt` models a payload
@@ -73,6 +83,10 @@ class Network {
   /// fault decisions never perturb latency draws).  The util::Rng passed in
   /// is the network's dedicated fault stream.
   using FaultHook = std::function<FaultDecision(const Envelope&, util::Rng&)>;
+  /// Routing hook consulted for every envelope send() is about to queue,
+  /// duplicates included.  Returning true means the hook took the envelope:
+  /// its destination lives on another network, whose deliver() queues it.
+  using Router = std::function<bool(const Envelope&)>;
 
   Network(sim::Scheduler& sched, util::Rng rng);
 
@@ -86,8 +100,17 @@ class Network {
   /// Override the link for the ordered pair (src, dst).
   void set_link(ProcessId src, ProcessId dst, LinkConfig config);
 
-  /// Queue a message for delivery.  Returns the assigned message id.
+  /// Queue a message for delivery.  Returns the assigned message id.  This
+  /// is the one place that decides a message's fate, in this order: link
+  /// loss, then latency, bandwidth, and the FIFO horizon, then the fault
+  /// hook's verdict, then the send trace, then routing, then duplicates.
   MsgId send(ProcessId src, ProcessId dst, MessagePtr payload);
+
+  /// Queue the delivery of an envelope that send() produced, on this
+  /// network or on one whose router handed it here.  The same-time priority
+  /// is a pure function of the message identity in per-link mode, so the
+  /// schedule does not depend on which network queues the envelope.
+  void deliver(const Envelope& env);
 
   // ---- deterministic per-link mode ----------------------------------------
   //
@@ -99,25 +122,21 @@ class Network {
   //
   // Per-link mode makes the schedule a pure function of each sender's
   // program order: every ordered (src, dst) pair gets its own RNG stream
-  // (seeded from `seed_base` and the pair), and message ids and same-time
+  // (seeded from a seed base and the pair), and message ids and same-time
   // delivery priorities are pure functions of (src, dst, per-link sequence
-  // number).  exec::ParallelRuntime computes the identical schedule with
-  // the static helpers below.
+  // number).  exec::ParallelRuntime runs one network per shard, all in
+  // per-link mode over the same seed base: each draws for the links whose
+  // sender it hosts and routes envelopes for other shards' processes to the
+  // destination network's deliver() (set_router).
 
-  /// Switch send() to per-link determinism.  Call before the first send.
-  void enable_per_link_streams(std::uint64_t seed_base);
-
-  /// Same, with the seed base self-derived from this network's own stream
-  /// (link_seed_base(rng)); an executor that mirrors the stream derivation
-  /// obtains the identical base via the static helper.
+  /// Switch send() to per-link determinism, seeded from
+  /// link_seed_base() of this network's stream: networks built on equal
+  /// streams share one seed base.  Call before the first send.
   void enable_per_link_streams();
 
-  bool per_link_streams() const { return per_link_; }
-
   /// Seed base derived from the network RNG stream without advancing it
-  /// (the fault_rng_ copy-split idiom): both executors call this with the
-  /// stream split off the run seed and obtain the same base, while runs
-  /// that never enable per-link mode stay bit-identical.
+  /// (the fault_rng_ copy-split idiom), so runs that never enable per-link
+  /// mode stay bit-identical.
   static std::uint64_t link_seed_base(const util::Rng& rng);
 
   /// Dedicated stream for the ordered pair (src, dst).
@@ -129,8 +148,7 @@ class Network {
   /// link stream itself are bit-identical whether or not faults are
   /// enabled.  In per-link mode the fault hook and duplicate-delay draws
   /// use this stream, making every fault decision a pure function of
-  /// (src, dst, per-link sequence number) — exec::ParallelRuntime derives
-  /// the identical stream per shard-local link.
+  /// (src, dst, per-link sequence number), whichever network sends.
   static util::Rng link_fault_stream(std::uint64_t seed_base, ProcessId src,
                                      ProcessId dst);
 
@@ -158,6 +176,9 @@ class Network {
   /// faults leaves every latency/loss draw bit-identical to a fault-free run.
   void set_fault_hook(FaultHook hook) { fault_hook_ = std::move(hook); }
 
+  /// Install (or clear) the routing hook.
+  void set_router(Router router) { router_ = std::move(router); }
+
   const NetworkStats& stats() const { return stats_; }
   sim::Scheduler& scheduler() { return sched_; }
 
@@ -174,7 +195,8 @@ class Network {
 
   const LinkConfig& link_for(ProcessId src, ProcessId dst) const;
   LinkState& link_state(ProcessId src, ProcessId dst);
-  void schedule_delivery(const Envelope& env, std::uint64_t prio);
+  /// Hand `env` to the router, or queue it here.
+  void route(const Envelope& env);
 
   sim::Scheduler& sched_;
   util::Rng rng_;
@@ -189,6 +211,7 @@ class Network {
   Tracer tracer_;
   Tracer send_tracer_;
   FaultHook fault_hook_;
+  Router router_;
   NetworkStats stats_;
   MsgId next_msg_id_ = 1;
   bool per_link_ = false;

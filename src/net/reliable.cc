@@ -8,16 +8,8 @@
 
 namespace ocsp::net {
 
-ReliableTransport::ReliableTransport(Network& net, sim::Scheduler& sched,
-                                     ReliableConfig config)
-    : ReliableTransport(
-          [&net](ProcessId src, ProcessId dst, MessagePtr payload) {
-            return net.send(src, dst, std::move(payload));
-          },
-          [&net](ProcessId id, Network::Handler handler) {
-            net.register_endpoint(id, std::move(handler));
-          },
-          sched, config) {}
+ReliableTransport::ReliableTransport(Network& net, ReliableConfig config)
+    : net_(net), sched_(net.scheduler()), config_(config) {}
 
 void ReliableTransport::register_endpoint(ProcessId id,
                                           Network::Handler handler,
@@ -25,20 +17,20 @@ void ReliableTransport::register_endpoint(ProcessId id,
                                           IncarnationObserver observer) {
   OCSP_CHECK(handler != nullptr);
   if (!config_.enabled) {
-    register_(id, std::move(handler));
+    net_.register_endpoint(id, std::move(handler));
     return;
   }
   Endpoint& ep = endpoints_[id];
   ep.handler = std::move(handler);
   ep.incarnation = std::move(incarnation);
   ep.observer = std::move(observer);
-  register_(id,
-            [this, id](const Envelope& env) { on_network_delivery(id, env); });
+  net_.register_endpoint(
+      id, [this, id](const Envelope& env) { on_network_delivery(id, env); });
 }
 
 MsgId ReliableTransport::send(ProcessId src, ProcessId dst,
                               MessagePtr payload) {
-  if (!config_.enabled) return send_(src, dst, std::move(payload));
+  if (!config_.enabled) return net_.send(src, dst, std::move(payload));
   const std::uint64_t seq = next_seq_++;
   PendingSend& p = pending_[seq];
   p.src = src;
@@ -70,9 +62,9 @@ MsgId ReliableTransport::transmit(std::uint64_t seq) {
       retransmit_observer_(p.src, p.dst, seq, p.attempt);
     }
   }
-  const MsgId id = send_(
-      p.src, p.dst, std::make_shared<ReliableFrame>(p.payload, seq, tag,
-                                                    p.attempt));
+  const MsgId id = net_.send(
+      p.src, p.dst,
+      std::make_shared<ReliableFrame>(p.payload, seq, tag, p.attempt));
 
   p.timer = sched_.after(p.rto, [this, seq]() {
     auto pit = pending_.find(seq);
@@ -113,7 +105,7 @@ void ReliableTransport::on_network_delivery(ProcessId id, const Envelope& env) {
     // orphaned thus self-terminate at the sender without any coupling
     // between the transport and the speculation layer.
     ++stats_.acks_sent;
-    send_(id, env.src, std::make_shared<AckFrame>(frame->seq()));
+    net_.send(id, env.src, std::make_shared<AckFrame>(frame->seq()));
 
     if (!ep.seen.insert({env.src, frame->seq()}).second) {
       ++stats_.duplicates_suppressed;

@@ -123,22 +123,9 @@ class ReliableTransport {
   using DuplicateObserver =
       std::function<void(ProcessId dst, ProcessId src, std::uint64_t seq)>;
 
-  // The transport is wire-agnostic: it emits frames/acks through SendFn and
-  // claims receive slots through RegisterFn.  The Network constructor binds
-  // both to one net::Network (the sequential runtime); exec::ParallelRuntime
-  // instead hosts one transport per shard, bound to its shard-local send
-  // path and endpoint table, with RTO timers on the shard's own scheduler.
-  using SendFn = std::function<MsgId(ProcessId, ProcessId, MessagePtr)>;
-  using RegisterFn = std::function<void(ProcessId, Network::Handler)>;
-
-  ReliableTransport(Network& net, sim::Scheduler& sched,
-                    ReliableConfig config);
-  ReliableTransport(SendFn send, RegisterFn register_endpoint,
-                    sim::Scheduler& sched, ReliableConfig config)
-      : send_(std::move(send)),
-        register_(std::move(register_endpoint)),
-        sched_(sched),
-        config_(config) {}
+  /// Bind to `net`: frames and acks go out through net.send(), receive
+  /// slots are claimed on net, and RTO timers run on net.scheduler().
+  ReliableTransport(Network& net, ReliableConfig config);
 
   /// Register a process behind the transport.  With the transport disabled
   /// this is a plain Network::register_endpoint.
@@ -193,8 +180,7 @@ class ReliableTransport {
   void deliver_frame(Endpoint& ep, const Envelope& env, ProcessId src,
                      IncarnationTag tag);
 
-  SendFn send_;
-  RegisterFn register_;
+  Network& net_;
   sim::Scheduler& sched_;
   ReliableConfig config_;
   ReliableStats stats_;

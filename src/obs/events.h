@@ -96,9 +96,9 @@ struct GuessRef {
 struct Event {
   EventKind kind = EventKind::kIntervalBegin;
   sim::Time when = 0;
-  /// Optional wall-clock timestamp (ns since the run started); -1 when the
-  /// run is purely virtual.  Real executors (exec::ThreadedRuntime) stamp
-  /// it so the same profiler answers simulator and hardware runs.
+  /// Optional wall-clock timestamp (ns since the run started) beside the
+  /// virtual `when`; -1 on simulator runs.  exec::ParallelRuntime's shard
+  /// recorders stamp it on every event.
   std::int64_t wall_ns = -1;
   ProcessId process = kNoProcess;  ///< recording process
   ProcessId peer = kNoProcess;     ///< other endpoint (messages)

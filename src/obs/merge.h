@@ -15,9 +15,9 @@ namespace ocsp::obs {
 /// virtual-time order first, part index for same-time ties, and each part's
 /// own recording order within equal keys.  Every part must already be
 /// when-monotone (true of any recorder fed by one deterministic scheduler).
-/// wall_ns stamps are copied verbatim — the merged recorder has no wall
-/// clock installed — so dual-clock profiling works on the merged log
-/// exactly as on a sequential run's.
+/// wall_ns stamps are copied verbatim (the merged recorder has no wall
+/// clock installed), and the profiler runs on the merged log exactly as on
+/// a sequential run's.
 std::shared_ptr<RunRecorder> merge_recorders(
     const std::vector<const RunRecorder*>& parts);
 

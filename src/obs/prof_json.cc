@@ -22,7 +22,7 @@ void write_prof_json(const RunProfile& profile,
   w.begin_object();
   w.key("schema").value("ocsp-prof-v1");
   w.key("schema_version").value(kProfSchemaVersion);
-  w.key("clock").value(profile.dual_clock ? "wall" : "virtual");
+  w.key("clock").value("virtual");
 
   w.key("time_accounting").begin_object();
   w.key("run_span_ns").value(profile.run_span_ns);

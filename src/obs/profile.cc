@@ -204,7 +204,6 @@ struct SendSnapshot {
 RunProfile build_profile(const RunRecorder& recorder,
                          const std::vector<std::string>& process_names) {
   RunProfile out;
-  out.dual_clock = recorder.dual_clock();
 
   // ---- pass 1: per-process overlay spans -------------------------------
   std::map<ProcessId, ProcScratch> procs;
@@ -219,9 +218,7 @@ RunProfile build_profile(const RunRecorder& recorder,
       case EventKind::kComputeDone: {
         // The burst occupied [when - duration, when] on the virtual clock.
         // Clamp to the thread's previous event so bursts never overlap on
-        // one thread and never precede the process's first event (on
-        // dual-clock runs `a` is virtual while `when` is wall, so the
-        // clamp is what keeps the overlay sane there).
+        // one thread and never precede the process's first event.
         const std::int64_t d = static_cast<std::int64_t>(e.a);
         std::int64_t lo = when - d;
         auto tl = p.thread_last.find(e.thread);
@@ -423,10 +420,8 @@ std::string profile_table(const RunProfile& profile) {
         ms(profile.global[TimeCategory::kRollback]),
         ms(profile.global[TimeCategory::kVerify]),
         ms(profile.global[TimeCategory::kStall]));
-  std::string s = "Time accounting (" +
-                  std::string(profile.dual_clock ? "wall" : "virtual") +
-                  " clock, span " + ms(profile.run_span_ns) + " ms):\n" +
-                  t.to_string();
+  std::string s = "Time accounting (virtual clock, span " +
+                  ms(profile.run_span_ns) + " ms):\n" + t.to_string();
   const auto& cp = profile.critical_path;
   s += "Critical path: " + ms(cp.length_ns) + " ms over " +
        std::to_string(cp.steps.size()) + " steps (useful " +

@@ -19,9 +19,8 @@
 //       lower bound on completion time and useful/length an honest upper
 //       bound on achievable speedup.
 //
-// All accounting runs on the event `when` clock: virtual nanoseconds on
-// simulator runs, wall nanoseconds on dual-clock executors
-// (exec::ThreadedRuntime), so the same profiler answers both.
+// All accounting runs on the event `when` clock, which is virtual time on
+// every executor; the sharded executor's recorders also stamp wall_ns.
 #pragma once
 
 #include <array>
@@ -37,9 +36,8 @@ namespace ocsp::obs {
 enum class TimeCategory : std::uint8_t {
   kUseful,    ///< compute that survived to commit
   kWasted,    ///< compute discarded by an abort or rollback
-  kRollback,  ///< state restoration; the simulator's cost model charges
-              ///< zero virtual time for it, so this is nonzero only on
-              ///< wall-clock (dual-clock) runs
+  kRollback,  ///< state restoration; the cost model charges it zero
+              ///< virtual time, so this stays zero on every run
   kVerify,    ///< verification / control-protocol wait (guard resolution,
               ///< in-doubt join windows)
   kStall,     ///< waiting on a channel (receive/reply) or idle
@@ -92,7 +90,6 @@ struct CriticalPath {
 };
 
 struct RunProfile {
-  bool dual_clock = false;
   /// First event .. last event across all processes.
   std::int64_t run_span_ns = 0;
   /// Sum of per-process spans ("total virtual process time").

@@ -24,13 +24,12 @@ class RunRecorder {
   bool enabled() const { return enabled_; }
 
   /// Install a wall-clock source (ns since run start).  When set, every
-  /// recorded event without an explicit wall_ns gets stamped — the
-  /// dual-clock mode real executors use.  Virtual-only runs leave it unset
-  /// and events keep wall_ns == -1.
+  /// recorded event without an explicit wall_ns gets stamped, as the
+  /// sharded executor's recorders are.  Simulator runs leave it unset and
+  /// events keep wall_ns == -1.
   void set_wall_clock(std::function<std::int64_t()> clock) {
     wall_clock_ = std::move(clock);
   }
-  bool dual_clock() const { return static_cast<bool>(wall_clock_); }
 
   void record(Event e) {
     if (!enabled_) return;

@@ -6,17 +6,19 @@
 
 #include <algorithm>
 
-#include "speculation/runtime.h"
+#include "speculation/process_table.h"
 #include "util/check.h"
 #include "util/logging.h"
 
 namespace ocsp::spec {
 
-SpeculativeProcess::SpeculativeProcess(ExecContext& runtime, ProcessId id,
-                                       std::string name, csp::StmtPtr program,
+SpeculativeProcess::SpeculativeProcess(Host& host, const ProcessTable& table,
+                                       ProcessId id, std::string name,
+                                       csp::StmtPtr program,
                                        csp::Env initial_env, SpecConfig config,
                                        util::Rng rng)
-    : runtime_(runtime),
+    : host_(host),
+      table_(table),
       id_(id),
       name_(std::move(name)),
       config_(config),
@@ -40,9 +42,9 @@ void SpeculativeProcess::start() {
   schedule_step(0);
 }
 
-trace::Timeline& SpeculativeProcess::timeline() { return runtime_.timeline(); }
+trace::Timeline& SpeculativeProcess::timeline() { return host_.timeline(); }
 
-obs::RunRecorder& SpeculativeProcess::recorder() { return runtime_.recorder(); }
+obs::RunRecorder& SpeculativeProcess::recorder() { return host_.recorder(); }
 
 obs::GuessRef SpeculativeProcess::guess_ref(const GuessId& g) {
   return obs::GuessRef{g.owner, g.incarnation, g.index};
@@ -63,7 +65,7 @@ obs::ControlType SpeculativeProcess::obs_control(ControlKind kind) {
 obs::Event SpeculativeProcess::make_event(obs::EventKind kind) const {
   obs::Event ev;
   ev.kind = kind;
-  ev.when = runtime_.scheduler().now();
+  ev.when = host_.scheduler().now();
   ev.process = id_;
   ev.incarnation = incarnation_;
   return ev;
@@ -129,7 +131,7 @@ obs::MetricsRegistry SpeculativeProcess::metrics_view() const {
 }
 
 ProcessId SpeculativeProcess::resolve(const std::string& target) const {
-  return runtime_.find(target);
+  return table_.find(target);
 }
 
 StateIndex SpeculativeProcess::current_index(const ThreadCtx& t) const {
@@ -166,7 +168,7 @@ const ThreadCtx* SpeculativeProcess::thread(std::uint32_t index) const {
 void SpeculativeProcess::schedule_step(std::uint32_t thread_index) {
   if (step_scheduled_[thread_index]) return;
   step_scheduled_[thread_index] = true;
-  runtime_.scheduler().after(0, [this, thread_index]() {
+  host_.scheduler().after(0, [this, thread_index]() {
     step_scheduled_[thread_index] = false;
     run_thread(thread_index);
   });
@@ -242,7 +244,7 @@ bool SpeculativeProcess::handle_effect(ThreadCtx& t, csp::Effect effect) {
       if (!flush_ready(t)) {
         ++stats_.externals_buffered;
         const std::size_t pos = t.event_log.size();
-        external_buffered_at_[{t.index, pos}] = runtime_.scheduler().now();
+        external_buffered_at_[{t.index, pos}] = host_.scheduler().now();
         obs::Event oe = make_event(obs::EventKind::kExternalBuffered);
         oe.thread = t.index;
         oe.interval = t.interval;
@@ -257,9 +259,9 @@ bool SpeculativeProcess::handle_effect(ThreadCtx& t, csp::Effect effect) {
       t.phase = ThreadCtx::Phase::kAwaitCompute;
       const std::uint32_t idx = t.index;
       const sim::Time duration = effect.duration;
-      runtime_.on_compute(id_, duration);
+      host_.on_compute(duration);
       compute_timers_[idx] =
-          runtime_.scheduler().after(duration, [this, idx, duration]() {
+          host_.scheduler().after(duration, [this, idx, duration]() {
             auto it = threads_.find(idx);
             if (it == threads_.end()) return;
             ThreadCtx& th = it->second;
@@ -340,10 +342,10 @@ void SpeculativeProcess::send_data(ThreadCtx& t, DataKind kind,
   }
 
   timeline().record({trace::TimelineEntry::Kind::kMsgSend,
-                     runtime_.scheduler().now(), id_, dst, msg->describe()});
+                     host_.scheduler().now(), id_, dst, msg->describe()});
   // Data plane goes through the reliable transport (a plain network send
   // when it is disabled); the control plane keeps its own liveness story.
-  runtime_.transport_send(id_, dst, std::move(msg));
+  host_.transport().send(id_, dst, std::move(msg));
 }
 
 // ---------------------------------------------------------------------------
@@ -383,8 +385,7 @@ void SpeculativeProcess::flush_events(ThreadCtx& t) {
       oe.a = t.flushed_count;
       auto buffered = external_buffered_at_.find({t.index, t.flushed_count});
       if (buffered != external_buffered_at_.end()) {
-        const sim::Time dwell =
-            runtime_.scheduler().now() - buffered->second;
+        const sim::Time dwell = host_.scheduler().now() - buffered->second;
         oe.b = static_cast<std::uint64_t>(dwell);
         obs::external_dwell_hist(live_metrics_)
             .add(static_cast<double>(dwell) / 1000.0);
@@ -393,7 +394,7 @@ void SpeculativeProcess::flush_events(ThreadCtx& t) {
       oe.detail = e.data.to_string();
       recorder().record(std::move(oe));
       timeline().record({trace::TimelineEntry::Kind::kExternalRelease,
-                         runtime_.scheduler().now(), id_, kNoProcess,
+                         host_.scheduler().now(), id_, kNoProcess,
                          e.data.to_string()});
     }
     ++t.flushed_count;
@@ -434,7 +435,7 @@ void SpeculativeProcess::check_completion() {
     if (t.phase != ThreadCtx::Phase::kTerminated) return;
   }
   completed_ = true;
-  completion_time_ = runtime_.scheduler().now();
+  completion_time_ = host_.scheduler().now();
   recorder().record(make_event(obs::EventKind::kProcessCompleted));
   timeline().note(completion_time_, id_, "process completed");
 }
@@ -461,7 +462,7 @@ std::uint64_t SpeculativeProcess::restore_cost_bytes(
 void SpeculativeProcess::take_checkpoint(const ThreadCtx& t) {
   ++stats_.checkpoints;
   ThreadCtx snapshot = t;
-  snapshot.checkpointed_at = runtime_.scheduler().now();
+  snapshot.checkpointed_at = host_.scheduler().now();
   const std::uint64_t payload = snapshot.machine.state_bytes();
   apply_state_strategy(snapshot.machine);
   {

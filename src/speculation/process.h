@@ -40,10 +40,10 @@
 #include "sim/scheduler.h"
 #include "speculation/cdg.h"
 #include "speculation/config.h"
-#include "speculation/context.h"
 #include "speculation/guard_set.h"
 #include "speculation/guess.h"
 #include "speculation/history.h"
+#include "speculation/host.h"
 #include "speculation/messages.h"
 #include "speculation/predictor.h"
 #include "speculation/stats.h"
@@ -51,13 +51,9 @@
 #include "trace/timeline.h"
 #include "util/rng.h"
 
-namespace ocsp::exec {
-class ParallelRuntime;
-}  // namespace ocsp::exec
-
 namespace ocsp::spec {
 
-class Runtime;
+class ProcessTable;
 
 /// One logical thread of a process.  Copyable: a checkpoint is a copy of
 /// the whole ThreadCtx (machine, guards, CDG, rollback map, event log).
@@ -148,9 +144,11 @@ struct ThreadCtx {
 
 class SpeculativeProcess {
  public:
-  SpeculativeProcess(ExecContext& runtime, ProcessId id, std::string name,
-                     csp::StmtPtr program, csp::Env initial_env,
-                     SpecConfig config, util::Rng rng);
+  /// A process runs against `host` (event kernel, wire, recorder) and
+  /// resolves peer names through `table`.
+  SpeculativeProcess(Host& host, const ProcessTable& table, ProcessId id,
+                     std::string name, csp::StmtPtr program,
+                     csp::Env initial_env, SpecConfig config, util::Rng rng);
 
   SpeculativeProcess(const SpeculativeProcess&) = delete;
   SpeculativeProcess& operator=(const SpeculativeProcess&) = delete;
@@ -218,10 +216,9 @@ class SpeculativeProcess {
   std::vector<sim::Time> checkpoint_times() const;
 
  private:
-  friend class Runtime;
-  // The parallel executor orchestrates crash/restart and incarnation
-  // observation exactly as Runtime does, per shard.
-  friend class ocsp::exec::ParallelRuntime;
+  // The table wires incarnation tags into the transport and orchestrates
+  // crash/restart.
+  friend class ProcessTable;
 
   // ---- scheduling -----------------------------------------------------
   void schedule_step(std::uint32_t thread_index);
@@ -268,11 +265,12 @@ class SpeculativeProcess {
 
   // ---- crash / recovery (fault plans) -------------------------------------
   /// Take the process down at the current virtual time: no stepping, no
-  /// message processing until restart().  Called by Runtime::crash_process.
+  /// message processing until restart().  Called by
+  /// ProcessTable::crash_process.
   void crash();
   /// Bring the process back up from its last committed state: abort every
   /// uncommitted own guess (bumping the incarnation via the normal cascade
-  /// machinery) and resume.  Called by Runtime::restart_process.
+  /// machinery) and resume.  Called by ProcessTable::restart_process.
   void restart();
   /// Current incarnation tag stamped on outgoing reliable frames.
   net::IncarnationTag incarnation_tag() const {
@@ -357,7 +355,8 @@ class SpeculativeProcess {
   void record_work_discarded(const ThreadCtx& t, sim::Time discarded_ns,
                              const GuessId& cause);
 
-  ExecContext& runtime_;
+  Host& host_;
+  const ProcessTable& table_;
   ProcessId id_;
   std::string name_;
   SpecConfig config_;

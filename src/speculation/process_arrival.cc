@@ -7,7 +7,6 @@
 // dependencies.  Accepting a message that introduces new dependencies
 // checkpoints the thread first and starts a new interval.
 #include "speculation/process.h"
-#include "speculation/runtime.h"
 #include "util/check.h"
 #include "util/logging.h"
 
@@ -71,7 +70,7 @@ void SpeculativeProcess::forward_control(ControlKind kind,
     if (dst == id_ || dst == from || dst == subject.owner) continue;
     ++stats_.control_sent;
     ++fanout;
-    runtime_.net_send(id_, dst, msg);
+    host_.network().send(id_, dst, msg);
   }
   if (fanout > 0) {
     obs::Event ev = make_event(obs::EventKind::kControlSent);

@@ -11,7 +11,7 @@
 #include <algorithm>
 
 #include "speculation/process.h"
-#include "speculation/runtime.h"
+#include "speculation/process_table.h"
 #include "util/check.h"
 #include "util/logging.h"
 
@@ -35,7 +35,7 @@ void SpeculativeProcess::distribute_control(ControlKind kind,
     // PRECEDENCE is always broadcast: cycle detection needs every involved
     // owner to learn the ordering constraint (Figure 7 has both X and Z
     // discover the cycle independently).
-    recipients = runtime_.all_process_ids();
+    recipients = table_.all_process_ids();
   } else {
     auto it = spread_.find(subject);
     if (it != spread_.end()) recipients = it->second;
@@ -52,6 +52,9 @@ void SpeculativeProcess::distribute_control(ControlKind kind,
     recorder().record(std::move(ev));
     obs::control_fanout_hist(live_metrics_).add(static_cast<double>(fanout));
   }
+  // Control goes straight onto the network, bypassing the reliable
+  // transport: its liveness story is the blind re-broadcast of section
+  // 4.2.5, which retransmission would duplicate.
   const int repeats =
       config_.control_retry ? config_.control_retry_limit : 1;
   for (ProcessId dst : recipients) {
@@ -61,11 +64,11 @@ void SpeculativeProcess::distribute_control(ControlKind kind,
           static_cast<sim::Time>(i) * config_.control_retry_interval;
       if (i == 0) {
         ++stats_.control_sent;
-        runtime_.net_send(id_, dst, msg);
+        host_.network().send(id_, dst, msg);
       } else {
-        runtime_.scheduler().after(delay, [this, dst, msg]() {
+        host_.scheduler().after(delay, [this, dst, msg]() {
           ++stats_.control_sent;
-          runtime_.net_send(id_, dst, msg);
+          host_.network().send(id_, dst, msg);
         });
       }
     }
@@ -126,7 +129,7 @@ void SpeculativeProcess::abort_guess_local(const GuessId& g) {
   history_.peer(g.owner).observe_incarnation(g.incarnation + 1, g.index);
 
   timeline().record({trace::TimelineEntry::Kind::kAbort,
-                     runtime_.scheduler().now(), id_, kNoProcess,
+                     host_.scheduler().now(), id_, kNoProcess,
                      g.to_string()});
 
   rollback_aborted_dependencies();
@@ -188,7 +191,7 @@ void SpeculativeProcess::abort_own_guess(const GuessId& g,
   history_.peer(id_).set_status(g, GuessStatus::kAborted);
   history_.peer(id_).observe_incarnation(g.incarnation + 1, g.index);
   timeline().record({trace::TimelineEntry::Kind::kAbort,
-                     runtime_.scheduler().now(), id_, kNoProcess,
+                     host_.scheduler().now(), id_, kNoProcess,
                      g.to_string() + std::string(" (") + reason + ")"});
 
   // Track consecutive failures of the fork site for the liveness limit L.
@@ -282,7 +285,7 @@ void SpeculativeProcess::kill_thread(std::uint32_t index,
   }
   auto timer = compute_timers_.find(index);
   if (timer != compute_timers_.end()) {
-    runtime_.scheduler().cancel(timer->second);
+    host_.scheduler().cancel(timer->second);
     compute_timers_.erase(timer);
   }
   if (t.phase == ThreadCtx::Phase::kAwaitReply && t.outstanding_reqid >= 0) {
@@ -306,7 +309,7 @@ void SpeculativeProcess::rollback_to(const StateIndex& target,
                                      bool kill_target_thread) {
   ++stats_.rollbacks;
   timeline().record({trace::TimelineEntry::Kind::kRollback,
-                     runtime_.scheduler().now(), id_, kNoProcess,
+                     host_.scheduler().now(), id_, kNoProcess,
                      target.to_string()});
 
   // Rollback distance: how many intervals the target thread is wound back.

@@ -14,7 +14,6 @@
 // storm), and its hysteresis band re-enables speculation once governed
 // sequential passes show the site has calmed down.
 #include "speculation/process.h"
-#include "speculation/runtime.h"
 #include "util/check.h"
 #include "util/logging.h"
 
@@ -25,8 +24,8 @@ void SpeculativeProcess::crash() {
   crashed_ = true;
   ++stats_.crashes;
   recorder().record(make_event(obs::EventKind::kCrash));
-  timeline().note(runtime_.scheduler().now(), id_, "crash");
-  OCSP_DLOG << name_ << ": crashed at t=" << runtime_.scheduler().now();
+  timeline().note(host_.scheduler().now(), id_, "crash");
+  OCSP_DLOG << name_ << ": crashed at t=" << host_.scheduler().now();
 }
 
 void SpeculativeProcess::restart() {
@@ -61,8 +60,8 @@ void SpeculativeProcess::restart() {
     ev.a = root_aborts;
     recorder().record(std::move(ev));
   }
-  timeline().note(runtime_.scheduler().now(), id_, "restart");
-  OCSP_DLOG << name_ << ": restarted at t=" << runtime_.scheduler().now()
+  timeline().note(host_.scheduler().now(), id_, "restart");
+  OCSP_DLOG << name_ << ": restarted at t=" << host_.scheduler().now()
             << " (aborted " << root_aborts << " own guesses)";
 
   // Threads whose compute timers fired during the downtime are kRunning but
@@ -71,7 +70,7 @@ void SpeculativeProcess::restart() {
     if (t.phase == ThreadCtx::Phase::kRunning) schedule_step(idx);
   }
   // The transport flushes parked frames right after this returns
-  // (Runtime::restart_process); locally-queued messages can go now.
+  // (ProcessTable::restart_process); locally-queued messages can go now.
   process_arrivals();
   after_guard_change();
   check_completion();

@@ -10,7 +10,6 @@
 // draws (a prerequisite for the Theorem 1 trace-equality tests).
 #include "analysis/commute.h"
 #include "speculation/process.h"
-#include "speculation/runtime.h"
 #include "util/check.h"
 #include "util/logging.h"
 
@@ -20,17 +19,16 @@ void SpeculativeProcess::arm_fork_timer(const GuessId& guess,
                                         sim::Time timeout) {
   if (timeout <= 0) return;
   cancel_fork_timer(guess);
-  fork_timers_[guess] =
-      runtime_.scheduler().after(timeout, [this, guess]() {
-        fork_timers_.erase(guess);
-        on_fork_timeout(guess);
-      });
+  fork_timers_[guess] = host_.scheduler().after(timeout, [this, guess]() {
+    fork_timers_.erase(guess);
+    on_fork_timeout(guess);
+  });
 }
 
 void SpeculativeProcess::cancel_fork_timer(const GuessId& guess) {
   auto it = fork_timers_.find(guess);
   if (it == fork_timers_.end()) return;
-  runtime_.scheduler().cancel(it->second);
+  host_.scheduler().cancel(it->second);
   fork_timers_.erase(it);
 }
 
@@ -128,7 +126,7 @@ void SpeculativeProcess::do_fork(ThreadCtx& t, const csp::ForkStmt& f) {
     r.created_at = current_index(t);
 
     timeline().record({trace::TimelineEntry::Kind::kFork,
-                       runtime_.scheduler().now(), id_, kNoProcess,
+                       host_.scheduler().now(), id_, kNoProcess,
                        "safe site=" + f.site});
     {
       obs::Event fe = make_event(obs::EventKind::kFork);
@@ -181,7 +179,7 @@ void SpeculativeProcess::do_fork(ThreadCtx& t, const csp::ForkStmt& f) {
     t.join_guess = GuessId{};  // invalid: sequential join
     t.join_right_initial = std::move(right_machine);
     timeline().record({trace::TimelineEntry::Kind::kFork,
-                       runtime_.scheduler().now(), id_, kNoProcess,
+                       host_.scheduler().now(), id_, kNoProcess,
                        "sequential site=" + f.site});
     {
       obs::Event fe = make_event(obs::EventKind::kFork);
@@ -240,7 +238,7 @@ void SpeculativeProcess::do_fork(ThreadCtx& t, const csp::ForkStmt& f) {
   history_.peer(id_).set_status(guess, GuessStatus::kUnknown);
 
   timeline().record({trace::TimelineEntry::Kind::kFork,
-                     runtime_.scheduler().now(), id_, kNoProcess,
+                     host_.scheduler().now(), id_, kNoProcess,
                      guess.to_string() + " site=" + f.site});
   {
     obs::Event fe = make_event(obs::EventKind::kFork);
@@ -299,7 +297,7 @@ void SpeculativeProcess::do_join_inner(ThreadCtx& left) {
   const bool safe_join = left.join_safe;
   const bool sequential = !safe_join && !left.join_guess.valid();
   timeline().record({trace::TimelineEntry::Kind::kJoin,
-                     runtime_.scheduler().now(), id_, kNoProcess,
+                     host_.scheduler().now(), id_, kNoProcess,
                      safe_join    ? "safe site=" + left.join_site
                      : sequential ? "sequential"
                                   : left.join_guess.to_string()});
@@ -438,7 +436,7 @@ void SpeculativeProcess::do_join_inner(ThreadCtx& left) {
   }
   distribute_control(ControlKind::kPrecedence, guess, published);
   l.phase = ThreadCtx::Phase::kJoinWait;
-  fork_timers_[guess] = runtime_.scheduler().after(
+  fork_timers_[guess] = host_.scheduler().after(
       config_.join_wait_timeout, [this, guess]() {
         fork_timers_.erase(guess);
         on_join_wait_timeout(guess);
@@ -476,7 +474,7 @@ void SpeculativeProcess::finalize_join_commit(ThreadCtx& left) {
   left.phase = ThreadCtx::Phase::kTerminated;
   left.has_pending_join = false;
   timeline().record({trace::TimelineEntry::Kind::kCommit,
-                     runtime_.scheduler().now(), id_, kNoProcess,
+                     host_.scheduler().now(), id_, kNoProcess,
                      guess.to_string()});
   commit_guess_local(guess);
   distribute_control(ControlKind::kCommit, guess, {});

@@ -1,250 +1,27 @@
 #include "speculation/runtime.h"
 
-#include "util/check.h"
-
 namespace ocsp::spec {
 
-namespace {
-
-RuntimeOptions normalize(RuntimeOptions o) {
-  // Crash recovery relies on the transport's parked-delivery NIC model to
-  // keep committed data durable across downtime; force it on.
-  if (o.fault_plan.has_crashes()) o.reliable.enabled = true;
-  return o;
-}
-
-}  // namespace
-
 Runtime::Runtime(RuntimeOptions options)
-    : options_(normalize(std::move(options))),
-      rng_(options_.seed),
-      network_(scheduler_, rng_.split()),
-      transport_(network_, scheduler_, options_.reliable),
-      recorder_(std::make_shared<obs::RunRecorder>()) {
-  network_.set_default_link(options_.default_link);
-  if (options_.per_link_net) network_.enable_per_link_streams();
-  network_.set_send_tracer([this](const net::Envelope& env) {
-    record_msg_event(obs::EventKind::kMsgSent, env);
-  });
-  network_.set_tracer([this](const net::Envelope& env) {
-    record_msg_event(obs::EventKind::kMsgDelivered, env);
-  });
-  if (options_.fault_plan.enabled) {
-    injector_ = std::make_unique<fault::Injector>(options_.fault_plan);
-    injector_->set_observer([this](const net::Envelope& env,
-                                   const net::FaultDecision& fd) {
-      obs::Event ev;
-      ev.kind = obs::EventKind::kFaultInjected;
-      ev.when = scheduler_.now();
-      ev.process = env.src;
-      ev.peer = env.dst;
-      ev.msg_id = env.id;
-      ev.a = fd.drop ? 1 : (fd.corrupt ? 2 : 3);
-      ev.detail = fd.cause;
-      recorder_->record(std::move(ev));
-    });
-    network_.set_fault_hook([this](const net::Envelope& env, util::Rng& rng) {
-      return injector_->decide(env, rng);
-    });
-  }
-  transport_.set_retransmit_observer(
-      [this](ProcessId src, ProcessId dst, std::uint64_t seq, int attempt) {
-        obs::Event ev;
-        ev.kind = obs::EventKind::kRetransmit;
-        ev.when = scheduler_.now();
-        ev.process = src;
-        ev.peer = dst;
-        ev.msg_id = seq;
-        ev.a = static_cast<std::uint64_t>(attempt);
-        recorder_->record(std::move(ev));
-      });
-  transport_.set_duplicate_observer(
-      [this](ProcessId dst, ProcessId src, std::uint64_t seq) {
-        obs::Event ev;
-        ev.kind = obs::EventKind::kDuplicateSuppressed;
-        ev.when = scheduler_.now();
-        ev.process = dst;
-        ev.peer = src;
-        ev.msg_id = seq;
-        recorder_->record(std::move(ev));
-      });
-}
-
-MsgId Runtime::transport_send(ProcessId src, ProcessId dst,
-                              net::MessagePtr payload) {
-  return transport_.send(src, dst, std::move(payload));
-}
-
-MsgId Runtime::net_send(ProcessId src, ProcessId dst,
-                        net::MessagePtr payload) {
-  return network_.send(src, dst, std::move(payload));
-}
-
-void Runtime::crash_process(ProcessId id) {
-  OCSP_CHECK(id < processes_.size());
-  transport_.set_down(id, true);
-  processes_[id]->crash();
-}
-
-void Runtime::restart_process(ProcessId id) {
-  OCSP_CHECK(id < processes_.size());
-  processes_[id]->restart();
-  transport_.set_down(id, false);
-}
-
-void Runtime::record_msg_event(obs::EventKind kind,
-                               const net::Envelope& env) {
-  recorder_->record(make_msg_event(kind, env, scheduler_.now()));
-}
-
-ProcessId Runtime::add_process(std::string name, csp::StmtPtr program,
-                               csp::Env initial_env,
-                               std::optional<SpecConfig> spec_override) {
-  OCSP_CHECK_MSG(!started_, "add_process after run() started");
-  OCSP_CHECK_MSG(names_.count(name) == 0, "duplicate process name");
-  const ProcessId id = static_cast<ProcessId>(processes_.size());
-  const SpecConfig spec = spec_override.value_or(options_.spec);
-  processes_.push_back(std::make_unique<SpeculativeProcess>(
-      *this, id, name, std::move(program), std::move(initial_env), spec,
-      rng_.split()));
-  names_.emplace(std::move(name), id);
-  transport_.register_endpoint(
-      id,
-      [this, id](const net::Envelope& env) { processes_[id]->on_message(env); },
-      [this, id]() { return processes_[id]->incarnation_tag(); },
-      [this, id](ProcessId src, net::IncarnationTag tag) {
-        processes_[id]->observe_peer_incarnation(src, tag.incarnation,
-                                                 tag.start_index);
-      });
-  return id;
-}
+    : ProcessTable(options.seed, options.spec),
+      Host(net_stream(), options.default_link, options.per_link_net,
+           options.fault_plan, options.reliable),
+      fault_plan_(std::move(options.fault_plan)) {}
 
 sim::Time Runtime::run(sim::Time deadline) {
-  if (!started_) {
-    started_ = true;
-    for (auto& p : processes_) p->start();
-    if (options_.fault_plan.enabled) {
-      for (const auto& c : options_.fault_plan.crashes) {
-        OCSP_CHECK_MSG(c.process < processes_.size(),
-                       "crash event for unknown process");
-        OCSP_CHECK_MSG(c.restart_at > c.at, "crash restart precedes crash");
-        scheduler_.at(c.at, [this, c]() { crash_process(c.process); });
-        scheduler_.at(c.restart_at, [this, c]() {
-          restart_process(c.process);
-        });
-      }
-    }
-  }
+  if (!started()) start(fault_plan_);
   if (deadline == sim::kTimeNever) {
-    scheduler_.run();
+    scheduler().run();
   } else {
-    scheduler_.run_until(deadline);
+    scheduler().run_until(deadline);
   }
-  return scheduler_.now();
-}
-
-SpeculativeProcess& Runtime::process(ProcessId id) {
-  OCSP_CHECK(id < processes_.size());
-  return *processes_[id];
-}
-
-const SpeculativeProcess& Runtime::process(ProcessId id) const {
-  OCSP_CHECK(id < processes_.size());
-  return *processes_[id];
-}
-
-ProcessId Runtime::find(const std::string& name) const {
-  auto it = names_.find(name);
-  OCSP_CHECK_MSG(it != names_.end(), ("unknown process: " + name).c_str());
-  return it->second;
-}
-
-std::vector<ProcessId> Runtime::all_process_ids() const {
-  std::vector<ProcessId> out;
-  out.reserve(processes_.size());
-  for (std::size_t i = 0; i < processes_.size(); ++i) {
-    out.push_back(static_cast<ProcessId>(i));
-  }
-  return out;
-}
-
-trace::CommittedTrace Runtime::committed_trace() const {
-  trace::CommittedTrace trace;
-  for (const auto& p : processes_) {
-    for (const auto& e : p->committed_events()) trace.append(e);
-  }
-  return trace;
-}
-
-SpecStats Runtime::total_stats() const {
-  SpecStats total;
-  for (const auto& p : processes_) total.merge(p->stats());
-  return total;
-}
-
-std::vector<std::string> Runtime::process_names() const {
-  std::vector<std::string> names;
-  names.reserve(processes_.size());
-  for (const auto& p : processes_) names.push_back(p->name());
-  return names;
-}
-
-obs::MetricsRegistry Runtime::process_metrics(ProcessId id) const {
-  return process(id).metrics_view();
+  return scheduler().now();
 }
 
 obs::MetricsRegistry Runtime::metrics() const {
-  obs::MetricsRegistry m;
-  for (const auto& p : processes_) m.merge(p->metrics_view());
-  // Gauges are derived, not merged: recompute from the merged counters.
-  const std::uint64_t verified = m.counter_or("guesses_verified");
-  const std::uint64_t failed = m.counter_or("guesses_failed");
-  if (verified + failed > 0) {
-    m.gauge("guess_accuracy") = static_cast<double>(verified) /
-                                static_cast<double>(verified + failed);
-  }
-  obs::update_sharing_ratio_gauge(m);
-  m.counter("sim_events_fired") += scheduler_.fired_count();
-  m.gauge("sim_peak_pending") =
-      static_cast<double>(scheduler_.peak_pending());
-  m.counter("net_messages_sent") += network_.stats().messages_sent;
-  m.counter("net_messages_delivered") += network_.stats().messages_delivered;
-  m.counter("net_messages_dropped") += network_.stats().messages_dropped;
-  m.counter("net_bytes_sent") += network_.stats().bytes_sent;
-  m.counter("net_faults_dropped") += network_.stats().faults_dropped;
-  m.counter("net_faults_corrupted") += network_.stats().faults_corrupted;
-  m.counter("net_faults_duplicated") += network_.stats().faults_duplicated;
-  if (options_.reliable.enabled) {
-    const net::ReliableStats& rs = transport_.stats();
-    m.counter("reliable_frames_sent") += rs.frames_sent;
-    m.counter("retransmissions") += rs.retransmissions;
-    m.counter("retransmit_exhausted") += rs.retransmit_exhausted;
-    m.counter("acks_sent") += rs.acks_sent;
-    m.counter("duplicates_suppressed") += rs.duplicates_suppressed;
-    m.counter("parked_deliveries") += rs.parked_deliveries;
-  }
-  if (injector_) {
-    const fault::InjectorStats& fs = injector_->stats();
-    m.counter("faults_injected") += fs.total();
-    m.counter("fault_partition_drops") += fs.partition_drops;
-  }
+  obs::MetricsRegistry m = merged_process_metrics();
+  add_counters(m);
   return m;
-}
-
-sim::Time Runtime::last_completion_time() const {
-  sim::Time latest = 0;
-  for (const auto& p : processes_) {
-    if (p->completed()) latest = std::max(latest, p->completion_time());
-  }
-  return latest;
-}
-
-bool Runtime::all_clients_completed() const {
-  bool any = false;
-  for (const auto& p : processes_) {
-    if (p->completed()) any = true;
-  }
-  return any;
 }
 
 }  // namespace ocsp::spec

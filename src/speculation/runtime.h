@@ -1,31 +1,25 @@
-// Runtime: wires processes, the simulated network, and the event kernel.
+// Runtime: the deterministic simulator, one host running every process of
+// a run on one event kernel.
 //
 // A Runtime owns everything a run needs; benchmarks construct one per data
 // point, run it to completion on virtual time, and read the stats,
-// committed trace, and timeline back out.
+// committed trace, and timeline back out.  Its host (speculation/host.h)
+// supplies the kernel, network, transport, injector, timeline, and
+// recorder; its process table (speculation/process_table.h) holds the
+// processes and answers everything asked about them.
 #pragma once
 
-#include <map>
-#include <memory>
-#include <string>
-#include <vector>
+#include <cstdint>
 
-#include "csp/env.h"
-#include "csp/program.h"
-#include "fault/injector.h"
 #include "fault/plan.h"
 #include "net/network.h"
 #include "net/reliable.h"
 #include "obs/metrics.h"
-#include "obs/recorder.h"
-#include "sim/scheduler.h"
+#include "sim/time.h"
 #include "speculation/config.h"
-#include "speculation/context.h"
-#include "speculation/process.h"
-#include "speculation/stats.h"
-#include "trace/events.h"
-#include "trace/timeline.h"
-#include "util/rng.h"
+#include "speculation/host.h"
+#include "speculation/process_table.h"
+#include "util/ids.h"
 
 namespace ocsp::spec {
 
@@ -47,95 +41,22 @@ struct RuntimeOptions {
   bool per_link_net = false;
 };
 
-class Runtime final : public ExecContext {
+class Runtime final : public ProcessTable, public Host {
  public:
   explicit Runtime(RuntimeOptions options = {});
-
-  /// Register a process.  `spec_override` (if given) replaces the global
-  /// SpecConfig for this process only.
-  ProcessId add_process(std::string name, csp::StmtPtr program,
-                        csp::Env initial_env = {},
-                        std::optional<SpecConfig> spec_override = {});
 
   /// Run until the event queue drains or virtual time reaches `deadline`.
   /// Returns the virtual time at the end of the run.
   sim::Time run(sim::Time deadline = sim::kTimeNever);
 
-  net::Network& network() { return network_; }
-  sim::Scheduler& scheduler() override { return scheduler_; }
-  trace::Timeline& timeline() override { return timeline_; }
-  net::ReliableTransport& transport() { return transport_; }
-  const fault::Injector* injector() const { return injector_.get(); }
-
-  /// Data-plane send through the reliable transport (a plain network send
-  /// when the transport is disabled).  Control messages bypass this and go
-  /// straight to the network — their liveness story is the blind
-  /// re-broadcast of section 4.2.5, which retransmission would duplicate.
-  MsgId transport_send(ProcessId src, ProcessId dst,
-                       net::MessagePtr payload) override;
-
-  /// Control-plane send: straight onto the network.
-  MsgId net_send(ProcessId src, ProcessId dst,
-                 net::MessagePtr payload) override;
-
-  /// Fault-plan crash orchestration: take the process (and its transport
-  /// endpoint) down, and later restart it from its last committed state.
-  void crash_process(ProcessId id);
-  void restart_process(ProcessId id);
-
-  SpeculativeProcess& process(ProcessId id);
-  const SpeculativeProcess& process(ProcessId id) const;
-  ProcessId find(const std::string& name) const override;
-  std::size_t process_count() const { return processes_.size(); }
-  std::vector<ProcessId> all_process_ids() const override;
-
-  /// Committed observable events of every process (Theorem 1 oracle).
-  trace::CommittedTrace committed_trace() const;
-
-  /// Sum of all processes' protocol counters.  Legacy view; metrics()
-  /// carries the same counters plus histograms and derived gauges.
-  SpecStats total_stats() const;
-
-  /// Structured event sink shared by every process, the network tracers,
-  /// and (via RunResult) the exporters.
-  obs::RunRecorder& recorder() override { return *recorder_; }
-  const obs::RunRecorder& recorder() const { return *recorder_; }
-  std::shared_ptr<obs::RunRecorder> shared_recorder() const {
-    return recorder_;
-  }
-
-  /// Process names indexed by ProcessId (for trace export).
-  std::vector<std::string> process_names() const;
-
-  /// Metrics of one process: SpecStats counters + live histograms.
-  obs::MetricsRegistry process_metrics(ProcessId id) const;
-
-  /// Run-wide metrics: per-process registries merged, plus kernel and
-  /// network counters and the recomputed guess_accuracy gauge.
+  /// Run-wide metrics: per-process registries merged, plus kernel, network,
+  /// transport, and injector counters and the recomputed gauges.
   obs::MetricsRegistry metrics() const;
 
-  /// Latest completion time among processes that completed (clients).
-  sim::Time last_completion_time() const;
-
-  /// True if every process whose program terminates has completed.
-  bool all_clients_completed() const;
-
-  const RuntimeOptions& options() const { return options_; }
-
  private:
-  void record_msg_event(obs::EventKind kind, const net::Envelope& env);
+  Host& host_for(ProcessId /*id*/) override { return *this; }
 
-  RuntimeOptions options_;
-  util::Rng rng_;
-  sim::Scheduler scheduler_;
-  net::Network network_;
-  net::ReliableTransport transport_;
-  std::unique_ptr<fault::Injector> injector_;
-  trace::Timeline timeline_;
-  std::shared_ptr<obs::RunRecorder> recorder_;
-  std::vector<std::unique_ptr<SpeculativeProcess>> processes_;
-  std::map<std::string, ProcessId> names_;
-  bool started_ = false;
+  fault::FaultPlan fault_plan_;
 };
 
 }  // namespace ocsp::spec

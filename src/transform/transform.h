@@ -13,7 +13,6 @@
 // (Theorem 1), which tests/integration assert for every example.
 #pragma once
 
-#include "transform/analysis.h"
 #include "transform/fork_insertion.h"
 #include "transform/reclassify.h"
 #include "transform/streaming.h"

@@ -81,21 +81,30 @@ TEST(Effects, NativeIsOpaque) {
 }
 
 TEST(Effects, DynamicTargetIsUnknowableAndReadsItsExpression) {
-  CommEffects e =
-      analyze_effects(call_dyn(var("dest"), "Op", {var("x")}, "r"));
-  EXPECT_TRUE(e.unknown_target);
-  EXPECT_TRUE(e.targets_unknowable());
-  EXPECT_TRUE(e.reads.count("dest"));
-  EXPECT_TRUE(e.reads.count("x"));
+  for (const auto& s : {call_dyn(var("dest"), "Op", {var("x")}, "r"),
+                        csp::send_dyn(var("dest"), "Put", {var("x")})}) {
+    CommEffects e = analyze_effects(s);
+    EXPECT_TRUE(e.unknown_target);
+    EXPECT_TRUE(e.targets_unknowable());
+    EXPECT_TRUE(e.reads.count("dest"));
+    EXPECT_TRUE(e.reads.count("x"));
+  }
 }
 
-// The minimal def/use pass must see the same destination-expression reads
-// (it delegates to the effects analysis).
-TEST(Effects, TransformAnalyzeSeesDynamicDestinationReads) {
-  transform::Analysis a =
-      transform::analyze(csp::send_dyn(var("who"), "Put", {var("p")}));
-  EXPECT_TRUE(a.reads.count("who"));
-  EXPECT_TRUE(a.reads.count("p"));
+TEST(Effects, ControlFlowCollectsBothBranches) {
+  CommEffects e = analyze_effects(
+      if_(var("c"), assign("x", lit(Value(1))), assign("y", var("z"))));
+  EXPECT_TRUE(e.reads.count("c"));
+  EXPECT_TRUE(e.reads.count("z"));
+  EXPECT_TRUE(e.writes.count("x"));
+  EXPECT_TRUE(e.writes.count("y"));
+}
+
+TEST(Effects, ReceiveWritesMetadataVars) {
+  CommEffects e = analyze_effects(csp::receive());
+  EXPECT_TRUE(e.writes.count("__op"));
+  EXPECT_TRUE(e.writes.count("__args"));
+  EXPECT_TRUE(e.writes.count("__caller"));
 }
 
 TEST(Effects, SeqMergesMustAcrossStatements) {

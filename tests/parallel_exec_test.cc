@@ -21,6 +21,7 @@
 #include "core/workloads.h"
 #include "exec/parallel.h"
 #include "net/message.h"
+#include "obs/profile.h"
 #include "trace/events.h"
 
 namespace ocsp {
@@ -128,6 +129,20 @@ std::vector<Workload> registry_workloads() {
                  scenario.options.default_link.drop_probability = 0.25;
                  scenario.options.default_link.drop_filter =
                      [](const net::Message& m) { return m.control_plane(); };
+                 return scenario;
+               }});
+  // Serialization delay and reordering: the send path's bandwidth term and
+  // its non-FIFO branch.
+  w.push_back({"bandwidth_reorder", [](std::uint64_t seed) {
+                 core::SharedServerParams p;
+                 p.clients = 3;
+                 p.calls_per_client = 4;
+                 p.net.jitter = sim::microseconds(400);
+                 p.net.fifo = false;
+                 p.seed = seed;
+                 auto scenario = core::shared_server_scenario(p);
+                 scenario.options.default_link.bandwidth_bytes_per_sec =
+                     2'000'000;
                  return scenario;
                }});
   return w;
@@ -346,8 +361,8 @@ TEST(ParallelGvt, SpeculationFloorHoldsReplayBases) {
 // Shards=1 bit-for-bit oracle
 // ---------------------------------------------------------------------------
 
-// Serialize every Event field except wall_ns (virtual runs leave it -1,
-// dual-clock runs stamp real time).
+// Serialize every Event field except wall_ns (simulator runs leave it -1,
+// shard recorders stamp real time).
 std::string serialize_events(const obs::RunRecorder& rec) {
   std::ostringstream os;
   for (const auto& e : rec.events()) {
@@ -391,19 +406,35 @@ TEST(ParallelGvt, SingleShardReproducesSimulatorEventOrderBitForBit) {
   }
 }
 
+// The merged stream carries both clocks on every event, and the profiler's
+// time accounting partitions it exactly, as it does a sequential run's.
 TEST(ParallelGvt, MergedRecorderKeepsWallStampsAndAllEvents) {
   const auto run = run_windows_probe(4);
   ASSERT_TRUE(run.result.recorder);
-  const auto& events = run.result.recorder->events();
-  ASSERT_FALSE(events.empty());
+  const obs::RunRecorder& rec = *run.result.recorder;
+  ASSERT_FALSE(rec.events().empty());
   sim::Time prev = 0;
-  bool any_wall = false;
-  for (const auto& e : events) {
+  for (const auto& e : rec.events()) {
     EXPECT_GE(e.when, prev);  // merged stream is virtual-time ordered
     prev = e.when;
-    any_wall = any_wall || e.wall_ns >= 0;
+    EXPECT_GE(e.wall_ns, 0) << "event missing wall-clock stamp";
   }
-  EXPECT_TRUE(any_wall);  // dual-clock stamps survived the merge
+  EXPECT_GT(rec.count(obs::EventKind::kMsgSent), 0u);
+  EXPECT_GT(rec.count(obs::EventKind::kMsgDelivered), 0u);
+  EXPECT_GT(rec.count(obs::EventKind::kProcessCompleted), 0u);
+
+  const auto profile = obs::build_profile(rec, run.result.process_names);
+  ASSERT_FALSE(profile.per_process.empty());
+  std::int64_t span_sum = 0;
+  obs::TimeBreakdown sum;
+  for (const auto& p : profile.per_process) {
+    EXPECT_EQ(p.breakdown.total(), p.span_ns) << p.name;
+    span_sum += p.span_ns;
+    sum.add(p.breakdown);
+  }
+  EXPECT_EQ(span_sum, profile.total_process_ns);
+  EXPECT_EQ(profile.global.total(), profile.total_process_ns);
+  EXPECT_EQ(sum.ns, profile.global.ns);
 }
 
 }  // namespace

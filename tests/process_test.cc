@@ -235,6 +235,23 @@ TEST(Process, StatsBooksBalance) {
   EXPECT_EQ(s.joins, s.forks);
 }
 
+// Completion means every client finished: one client that prints and
+// finishes does not make up for another stuck in a receive() nobody
+// answers.  The echo server loops forever and is not waited for.
+TEST(Process, StalledClientIsNotComplete) {
+  Runtime rt(fast_net());
+  rt.add_process("Done",
+                 csp::seq({csp::call("S", "Echo", {lit(Value(1))}, "a"),
+                           csp::print(var("a"))}));
+  rt.add_process("Stuck",
+                 csp::seq({csp::receive(), csp::print(lit(Value(2)))}));
+  rt.add_process("S", echo_server());
+  rt.run();
+  EXPECT_TRUE(rt.process(rt.find("Done")).completed());
+  EXPECT_FALSE(rt.process(rt.find("Stuck")).completed());
+  EXPECT_FALSE(rt.all_clients_completed());
+}
+
 TEST(Runtime, FindResolvesNames) {
   Runtime rt(fast_net());
   rt.add_process("alpha", csp::seq({csp::nop()}));

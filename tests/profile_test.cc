@@ -13,7 +13,6 @@
 
 #include "baseline/scenario.h"
 #include "core/workloads.h"
-#include "exec/threaded.h"
 #include "obs/attribution.h"
 #include "obs/prof_json.h"
 #include "obs/profile.h"
@@ -67,7 +66,6 @@ TEST(Profile, Fig5BreakdownSumsToTotalProcessTime) {
   const auto profile =
       obs::build_profile(*result.recorder, result.process_names);
 
-  EXPECT_FALSE(profile.dual_clock);
   EXPECT_FALSE(profile.per_process.empty());
   expect_exact_partition(profile);
 
@@ -199,39 +197,6 @@ TEST(Attribution, SafeElidedSitesScoreAsZeroCostProfit) {
   // other calls' round trips.  (elided_bytes is legitimately 0 here — the
   // fan-out client's env is empty at fork time.)
   EXPECT_GT(safe_saved, 0);
-}
-
-// ---- Dual clock -----------------------------------------------------------
-
-TEST(Profile, ThreadedRuntimeRecordsDualClock) {
-  core::PutLineParams p;
-  p.lines = 4;
-  auto scenario = core::putline_scenario(p);
-  exec::ThreadedOptions opts;
-  opts.seed = scenario.options.seed;
-  exec::ThreadedRuntime rt(opts);
-  std::vector<std::string> names;
-  for (std::size_t i = 0; i < scenario.processes.size(); ++i) {
-    const auto& proc = scenario.processes[i];
-    rt.add_process(proc.name, proc.program, proc.env, i != 0);
-    names.push_back(proc.name);
-  }
-  ASSERT_TRUE(rt.run());
-
-  const obs::RunRecorder& rec = rt.recorder();
-  EXPECT_TRUE(rec.dual_clock());
-  ASSERT_FALSE(rec.events().empty());
-  for (const auto& e : rec.events()) {
-    EXPECT_GE(e.wall_ns, 0) << "event missing wall-clock stamp";
-  }
-  EXPECT_GT(rec.count(EventKind::kMsgSent), 0u);
-  EXPECT_GT(rec.count(EventKind::kMsgDelivered), 0u);
-  EXPECT_GT(rec.count(EventKind::kComputeDone), 0u);
-  EXPECT_GT(rec.count(EventKind::kProcessCompleted), 0u);
-
-  const auto profile = obs::build_profile(rec, names);
-  EXPECT_TRUE(profile.dual_clock);
-  expect_exact_partition(profile);
 }
 
 // ---- JSON export ----------------------------------------------------------

@@ -1,5 +1,5 @@
-// Unit tests for the "compiler": def/use analysis, hint expansion, and the
-// call streaming pass.
+// Unit tests for the "compiler": hint expansion and the call streaming
+// pass.  The def/use analysis they rest on is tested in analysis_test.
 #include <gtest/gtest.h>
 
 #include "transform/transform.h"
@@ -14,62 +14,6 @@ using csp::seq;
 using csp::StmtKind;
 using csp::Value;
 using csp::var;
-
-// ---- Analysis ------------------------------------------------------------
-
-TEST(Analysis, ReadsAndWrites) {
-  auto s = seq({
-      assign("x", csp::add(var("a"), var("b"))),
-      call("S", "Op", {var("x")}, "r"),
-      csp::print(var("r")),
-  });
-  Analysis a = analyze(s);
-  EXPECT_TRUE(a.reads.count("a"));
-  EXPECT_TRUE(a.reads.count("b"));
-  EXPECT_TRUE(a.reads.count("x"));
-  EXPECT_TRUE(a.reads.count("r"));
-  EXPECT_TRUE(a.writes.count("x"));
-  EXPECT_TRUE(a.writes.count("r"));
-  EXPECT_FALSE(a.opaque);
-}
-
-TEST(Analysis, ControlFlowCollectsBothBranches) {
-  auto s = csp::if_(var("c"), assign("x", lit(Value(1))),
-                    assign("y", var("z")));
-  Analysis a = analyze(s);
-  EXPECT_TRUE(a.reads.count("c"));
-  EXPECT_TRUE(a.reads.count("z"));
-  EXPECT_TRUE(a.writes.count("x"));
-  EXPECT_TRUE(a.writes.count("y"));
-}
-
-TEST(Analysis, ReceiveWritesMetadataVars) {
-  Analysis a = analyze(csp::receive());
-  EXPECT_TRUE(a.writes.count("__op"));
-  EXPECT_TRUE(a.writes.count("__args"));
-  EXPECT_TRUE(a.writes.count("__caller"));
-}
-
-TEST(Analysis, NativeIsOpaque) {
-  Analysis a =
-      analyze(csp::native("n", [](csp::Env&, util::Rng&) {}));
-  EXPECT_TRUE(a.opaque);
-}
-
-TEST(Analysis, PassedSetIsWritesIntersectReads) {
-  auto s1 = seq({assign("a", lit(Value(1))), assign("b", lit(Value(2)))});
-  auto s2 = seq({assign("c", var("a"))});  // reads a only
-  auto passed = passed_set(s1, s2);
-  EXPECT_EQ(passed, (std::set<std::string>{"a"}));
-}
-
-TEST(Analysis, AntiDependencyDetection) {
-  auto s1 = seq({assign("x", var("shared"))});    // reads shared
-  auto s2 = seq({assign("shared", lit(Value(1)))});  // writes shared
-  EXPECT_TRUE(has_anti_dependency(s1, s2));
-  auto s2b = seq({assign("other", lit(Value(1)))});
-  EXPECT_FALSE(has_anti_dependency(s1, s2b));
-}
 
 // ---- Fork insertion ------------------------------------------------------------
 

@@ -19,8 +19,7 @@
 // liveness counters (faults injected, retransmissions, duplicates
 // suppressed, crashes) are populated; `parallel` runs the compute-fanout
 // workload on exec::ParallelRuntime with --workers threads — the profile is
-// built from the merged dual-clock recorder, so the same report shows where
-// both the virtual time and the real wall time went.
+// built from the shards' merged recorder.
 //
 // Default output is the human-readable report; --json emits one
 // ocsp-prof-v1 document (to stdout, or to the given path).
@@ -163,8 +162,8 @@ int main(int argc, char** argv) {
 
   ocsp::baseline::RunResult result;
   if (opts.workload == "parallel") {
-    // Compute-fanout on the sharded executor.  The merged recorder carries
-    // both clocks, so the profile's wall column reflects the real threads.
+    // Compute-fanout on the sharded executor, profiled from the merged
+    // shard recorders.
     ocsp::core::ComputeFanoutParams p;
     p.pairs = 4 * opts.scale;
     p.miss_period = 4;
