@@ -47,8 +47,23 @@ void BM_StreamDepth(benchmark::State& state) {
   }
   set_counters(state, result);
   state.SetItemsProcessed(state.iterations() * lines);
+  // Host cost per kernel event: flat in depth when the speculation layer's
+  // bookkeeping is O(1) amortized per event.
+  state.counters["time_per_event"] = benchmark::Counter(
+      static_cast<double>(result.metrics.counter_or("sim_events_fired")),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_StreamDepth)->Arg(4)->Arg(16)->Arg(64);
+// 256 and 1024 lines extend the depth curve past the report's table; the
+// 1024 point runs for seconds per iteration.
+BENCHMARK(BM_StreamDepth)
+    ->Arg(4)
+    ->Arg(16)
+    ->Arg(64)
+    ->Arg(128)
+    ->Arg(256)
+    ->Arg(512)
+    ->Arg(1024);
 
 void BM_RelayStreamDepth(benchmark::State& state) {
   core::PipelineParams p;

@@ -1,6 +1,7 @@
 #include "baseline/timewarp.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "util/check.h"
 
@@ -48,9 +49,13 @@ void Engine::send(const Event& event) {
 }
 
 void Engine::deliver_visible() {
+  // Take the batch out first: enqueue can roll an LP back, and the
+  // antimessages that rollback sends append to in_flight_.
+  std::vector<InFlight> batch = std::move(in_flight_);
+  in_flight_.clear();
   std::vector<InFlight> later;
-  later.reserve(in_flight_.size());
-  for (auto& f : in_flight_) {
+  later.reserve(batch.size());
+  for (auto& f : batch) {
     if (f.visible_round <= round_) {
       Lp& lp = lps_[static_cast<std::size_t>(f.event.dst)];
       enqueue(lp, f.event);
@@ -58,6 +63,9 @@ void Engine::deliver_visible() {
       later.push_back(std::move(f));
     }
   }
+  // Sends made while delivering follow what was already in flight.
+  later.insert(later.end(), std::make_move_iterator(in_flight_.begin()),
+               std::make_move_iterator(in_flight_.end()));
   in_flight_ = std::move(later);
 }
 

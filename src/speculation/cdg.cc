@@ -9,8 +9,18 @@ bool Cdg::has_node(const GuessId& g) const { return out_.count(g) > 0; }
 void Cdg::add_node(const GuessId& g) { out_[g]; }
 
 void Cdg::remove_node(const GuessId& g) {
-  out_.erase(g);
-  for (auto& [node, succs] : out_) succs.erase(g);
+  auto out = out_.find(g);
+  if (out == out_.end()) return;  // edges only ever join existing nodes
+  for (const auto& succ : out->second) {
+    auto in = in_.find(succ);
+    in->second.erase(g);
+    if (in->second.empty()) in_.erase(in);
+  }
+  out_.erase(out);
+  auto in = in_.find(g);
+  if (in == in_.end()) return;
+  for (const auto& pred : in->second) out_.find(pred)->second.erase(g);
+  in_.erase(in);
 }
 
 bool Cdg::has_edge(const GuessId& from, const GuessId& to) const {
@@ -19,9 +29,8 @@ bool Cdg::has_edge(const GuessId& from, const GuessId& to) const {
 }
 
 std::vector<GuessId> Cdg::add_edge(const GuessId& from, const GuessId& to) {
-  add_node(from);
   add_node(to);
-  out_[from].insert(to);
+  if (out_[from].insert(to)) in_[to].insert(from);
   if (from == to) return {from};
   // A new cycle through (from -> to) exists iff `from` is reachable from
   // `to`.
@@ -51,11 +60,9 @@ bool Cdg::find_path(const GuessId& from, const GuessId& target,
 }
 
 std::vector<GuessId> Cdg::predecessors(const GuessId& g) const {
-  std::vector<GuessId> out;
-  for (const auto& [node, succs] : out_) {
-    if (succs.contains(g)) out.push_back(node);
-  }
-  return out;
+  auto in = in_.find(g);
+  if (in == in_.end()) return {};
+  return {in->second.begin(), in->second.end()};
 }
 
 std::vector<GuessId> Cdg::closure_from(const GuessId& g) const {

@@ -20,7 +20,7 @@ class Cdg {
   bool has_node(const GuessId& g) const;
   void add_node(const GuessId& g);
 
-  /// Remove a resolved guess and all its edges.
+  /// Remove a resolved guess and all its edges.  O(degree).
   void remove_node(const GuessId& g);
 
   /// Add edge from -> to (creating missing nodes).  If this closes a cycle,
@@ -31,7 +31,8 @@ class Cdg {
 
   bool has_edge(const GuessId& from, const GuessId& to) const;
 
-  /// Direct predecessors of g (guesses that must commit before g).
+  /// Direct predecessors of g (guesses that must commit before g), in
+  /// ascending order.  O(in-degree).
   std::vector<GuessId> predecessors(const GuessId& g) const;
 
   /// g plus all transitive successors — the set invalidated when g aborts.
@@ -51,6 +52,10 @@ class Cdg {
                  util::FlatSet<GuessId>& visited) const;
 
   std::map<GuessId, util::FlatSet<GuessId>> out_;
+  /// Reverse edges, held only for nodes with a predecessor: most nodes have
+  /// none, so copying a graph (every fork and checkpoint does) stays as
+  /// cheap as copying out_ alone.
+  std::map<GuessId, util::FlatSet<GuessId>> in_;
 };
 
 }  // namespace ocsp::spec

@@ -1,6 +1,5 @@
 #include "speculation/history.h"
 
-#include <algorithm>
 #include <sstream>
 
 namespace ocsp::spec {
@@ -17,15 +16,16 @@ const char* to_string(GuessStatus s) {
   return "?";
 }
 
-void PeerHistory::set_status(const GuessId& g, GuessStatus status) {
+bool PeerHistory::set_status(const GuessId& g, GuessStatus status) {
   const auto key = std::pair(g.incarnation, g.index);
+  const bool was_aborted = this->status(g) == GuessStatus::kAborted;
   auto it = entries_.find(key);
   if (it != entries_.end()) {
     // Committed/aborted are final; unknown (from PRECEDENCE) never
     // overwrites a final state.
     if (it->second != GuessStatus::kUnknown &&
         status == GuessStatus::kUnknown) {
-      return;
+      return false;
     }
     it->second = status;
   } else {
@@ -33,12 +33,16 @@ void PeerHistory::set_status(const GuessId& g, GuessStatus status) {
   }
   // Seeing any guess from incarnation i implies i exists; its start is at
   // most the index seen (refined further by observe_incarnation).
-  auto start = incarnation_start_.find(g.incarnation);
-  if (start == incarnation_start_.end()) {
-    incarnation_start_[g.incarnation] = g.index;
-  } else {
-    start->second = std::min(start->second, g.index);
-  }
+  const bool start_moved = lower_start(g.incarnation, g.index);
+  return start_moved || was_aborted != (status == GuessStatus::kAborted);
+}
+
+bool PeerHistory::lower_start(std::uint32_t inc, std::uint32_t start_index) {
+  auto [it, inserted] = incarnation_start_.try_emplace(inc, start_index);
+  if (inserted) return true;
+  if (start_index >= it->second) return false;
+  it->second = start_index;
+  return true;
 }
 
 GuessStatus PeerHistory::status(const GuessId& g) const {
@@ -53,14 +57,9 @@ GuessStatus PeerHistory::status(const GuessId& g) const {
   return GuessStatus::kUnknown;
 }
 
-void PeerHistory::observe_incarnation(std::uint32_t inc,
+bool PeerHistory::observe_incarnation(std::uint32_t inc,
                                       std::uint32_t start_index) {
-  auto it = incarnation_start_.find(inc);
-  if (it == incarnation_start_.end()) {
-    incarnation_start_[inc] = start_index;
-  } else {
-    it->second = std::min(it->second, start_index);
-  }
+  return lower_start(inc, start_index);
 }
 
 std::uint32_t PeerHistory::latest_incarnation() const {
@@ -80,6 +79,15 @@ std::string PeerHistory::to_string() const {
   }
   os << " }";
   return os.str();
+}
+
+void HistoryTable::set_status(const GuessId& g, GuessStatus status) {
+  if (peers_[g.owner].set_status(g, status)) ++abort_epoch_;
+}
+
+void HistoryTable::observe_incarnation(ProcessId owner, std::uint32_t inc,
+                                       std::uint32_t start_index) {
+  if (peers_[owner].observe_incarnation(inc, start_index)) ++abort_epoch_;
 }
 
 const PeerHistory* HistoryTable::find_peer(ProcessId id) const {

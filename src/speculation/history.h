@@ -26,7 +26,9 @@ const char* to_string(GuessStatus s);
 class PeerHistory {
  public:
   /// Record an explicit COMMIT/ABORT (or an "unknown" from PRECEDENCE).
-  void set_status(const GuessId& g, GuessStatus status);
+  /// Returns true when the change may have made some guess start or stop
+  /// reading as aborted.
+  bool set_status(const GuessId& g, GuessStatus status);
 
   /// Current knowledge; applies the implicit-abort rule: a guess from
   /// incarnation i with index >= start(i') for some observed i' > i is
@@ -35,7 +37,8 @@ class PeerHistory {
 
   /// Note that incarnation `inc` of the peer begins at thread index
   /// `start_index` (learned from an ABORT, which names the aborted thread).
-  void observe_incarnation(std::uint32_t inc, std::uint32_t start_index);
+  /// Returns true when the start table changed (new implicit aborts).
+  bool observe_incarnation(std::uint32_t inc, std::uint32_t start_index);
 
   /// Highest incarnation observed so far.
   std::uint32_t latest_incarnation() const;
@@ -45,6 +48,9 @@ class PeerHistory {
   std::string to_string() const;
 
  private:
+  /// Lower incarnation `inc`'s start to `start_index`; true if it moved.
+  bool lower_start(std::uint32_t inc, std::uint32_t start_index);
+
   // incarnation -> smallest known start index
   std::map<std::uint32_t, std::uint32_t> incarnation_start_;
   // (incarnation, index) -> explicit status
@@ -54,10 +60,18 @@ class PeerHistory {
 /// All peers' histories plus convenience queries over guard sets.
 class HistoryTable {
  public:
-  PeerHistory& peer(ProcessId id) { return peers_[id]; }
+  /// PeerHistory::set_status on the guess's owner.
+  void set_status(const GuessId& g, GuessStatus status);
+  /// PeerHistory::observe_incarnation on `owner`.
+  void observe_incarnation(ProcessId owner, std::uint32_t inc,
+                           std::uint32_t start_index);
   const PeerHistory* find_peer(ProcessId id) const;
 
   GuessStatus status(const GuessId& g) const;
+
+  /// Advances whenever a status query's kAborted answer may have changed
+  /// for some guess, so a caller can reuse its orphan verdicts until then.
+  std::uint64_t abort_epoch() const { return abort_epoch_; }
 
   /// Orphan test of section 4.2.3: true if any guess in `guard` is aborted.
   bool any_aborted(const GuardSet& guard) const;
@@ -68,6 +82,7 @@ class HistoryTable {
 
  private:
   std::map<ProcessId, PeerHistory> peers_;
+  std::uint64_t abort_epoch_ = 0;
 };
 
 }  // namespace ocsp::spec

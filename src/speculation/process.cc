@@ -166,10 +166,9 @@ const ThreadCtx* SpeculativeProcess::thread(std::uint32_t index) const {
 // ---------------------------------------------------------------------------
 
 void SpeculativeProcess::schedule_step(std::uint32_t thread_index) {
-  if (step_scheduled_[thread_index]) return;
-  step_scheduled_[thread_index] = true;
+  if (!step_scheduled_.insert(thread_index)) return;
   host_.scheduler().after(0, [this, thread_index]() {
-    step_scheduled_[thread_index] = false;
+    step_scheduled_.erase(thread_index);
     run_thread(thread_index);
   });
 }
@@ -418,7 +417,7 @@ void SpeculativeProcess::check_completion() {
   if (completed_) return;
   for (auto& [idx, t] : threads_) {
     if (t.phase == ThreadCtx::Phase::kDoneWaitGuard && t.guard.empty()) {
-      t.phase = ThreadCtx::Phase::kTerminated;
+      terminate_thread(t);
       program_finished_ = true;
       obs::Event ev = make_event(obs::EventKind::kThreadResolved);
       ev.thread = t.index;
@@ -475,6 +474,56 @@ void SpeculativeProcess::take_checkpoint(const ThreadCtx& t) {
     recorder().record(std::move(ev));
   }
   checkpoints_.insert_or_assign(current_index(t), std::move(snapshot));
+  gc_stale_ = true;
+}
+
+// ---------------------------------------------------------------------------
+// Thread table and rollback-point index
+// ---------------------------------------------------------------------------
+
+ThreadCtx& SpeculativeProcess::insert_thread(ThreadCtx t) {
+  OCSP_CHECK_MSG(threads_.count(t.index) == 0,
+                 "thread index reuse without kill");
+  for (const auto& [g, at] : t.rollbacks) rollback_index_.add(t.index, g, at);
+  for (const auto& g : t.cdg.nodes()) rollback_index_.add_holder(t.index, g);
+  gc_stale_ = true;
+  const std::uint32_t index = t.index;
+  return threads_.emplace(index, std::move(t)).first->second;
+}
+
+void SpeculativeProcess::erase_thread(
+    std::map<std::uint32_t, ThreadCtx>::iterator it) {
+  const ThreadCtx& t = it->second;
+  for (const auto& [g, at] : t.rollbacks) {
+    rollback_index_.remove(g, at);
+    rollback_index_.remove_holder(t.index, g);
+  }
+  for (const auto& g : t.cdg.nodes()) rollback_index_.remove_holder(t.index, g);
+  gc_stale_ = true;
+  threads_.erase(it);
+}
+
+void SpeculativeProcess::terminate_thread(ThreadCtx& t) {
+  t.phase = ThreadCtx::Phase::kTerminated;
+  gc_stale_ = true;
+}
+
+void SpeculativeProcess::set_rollback(ThreadCtx& t, const GuessId& g,
+                                      const StateIndex& at) {
+  auto [it, inserted] = t.rollbacks.try_emplace(g, at);
+  if (!inserted) {
+    if (it->second == at) return;
+    rollback_index_.remove(g, it->second);
+    it->second = at;
+  }
+  rollback_index_.add(t.index, g, at);
+}
+
+void SpeculativeProcess::erase_rollback(ThreadCtx& t, const GuessId& g) {
+  auto it = t.rollbacks.find(g);
+  if (it == t.rollbacks.end()) return;
+  rollback_index_.remove(g, it->second);
+  t.rollbacks.erase(it);
 }
 
 }  // namespace ocsp::spec

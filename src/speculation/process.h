@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -46,9 +45,11 @@
 #include "speculation/host.h"
 #include "speculation/messages.h"
 #include "speculation/predictor.h"
+#include "speculation/rollback_index.h"
 #include "speculation/stats.h"
 #include "trace/events.h"
 #include "trace/timeline.h"
+#include "util/flat_set.h"
 #include "util/rng.h"
 
 namespace ocsp::spec {
@@ -215,6 +216,35 @@ class SpeculativeProcess {
   /// Times of every retained checkpoint (fossil-collection tests).
   std::vector<sim::Time> checkpoint_times() const;
 
+  // ---- unresolved dependencies ------------------------------------------
+
+  /// The unresolved part of every live thread's rollback map: whether any
+  /// dependency is still in doubt, the earliest state a rollback of one can
+  /// restore (the GC low-water mark), and the threads such rollbacks target.
+  struct RollbackSummary {
+    bool any_unresolved = false;
+    StateIndex low{~0u, ~0u, ~0u};
+    std::vector<std::uint32_t> targets;  ///< ascending, distinct
+
+    friend bool operator==(const RollbackSummary&,
+                           const RollbackSummary&) = default;
+    std::string to_string() const;
+  };
+
+  /// Read off the rollback-point index (what GC uses).
+  RollbackSummary rollback_summary() const;
+  /// Recomputed by walking every thread's rollback map: the reference the
+  /// index is tested against.
+  RollbackSummary rollback_summary_by_walk() const;
+
+  /// Per-guess bookkeeping sizes (bounded-state tests): (guess, control
+  /// kind) forward marks, scheduled-step flags, and SAFE-oracle claims.
+  std::size_t control_forwarded_count() const {
+    return control_forwarded_.size();
+  }
+  std::size_t step_flag_count() const { return step_scheduled_.size(); }
+  std::size_t safe_claim_count() const { return safe_claimed_.size(); }
+
  private:
   // The table wires incarnation tags into the transport and orchestrates
   // crash/restart.
@@ -243,7 +273,19 @@ class SpeculativeProcess {
 
   // ---- arrival / receive (4.2.3, 4.2.4) ---------------------------------
   void process_arrivals();
-  bool try_deliver(const net::Envelope& env);
+  /// Queue a data message for delivery: at the back on arrival, at the
+  /// front when a rollback requeues it.
+  void queue_pending(const net::Envelope& env, bool front);
+  net::Envelope unqueue_pending(std::int64_t order);
+  /// Bring pending_orphans_ up to date with the history's abort epoch.
+  void refresh_orphans();
+  /// Order of the first pending message deliver can take now.
+  std::optional<std::int64_t> first_deliverable() const;
+  /// The caller of return `reqid` is alive but not awaiting it yet.
+  bool return_blocked(std::int64_t reqid) const;
+  /// Deliver (or, for a stale return, drop) a message first_deliverable
+  /// picked.
+  void deliver(const net::Envelope& env);
   void accept_message(ThreadCtx& t, const net::Envelope& env);
 
   // ---- control plane (4.2.5-4.2.8) --------------------------------------
@@ -318,14 +360,27 @@ class SpeculativeProcess {
   struct LoggedInput;
   void replay_feed(ThreadCtx& t, const LoggedInput& entry);
 
+  // ---- thread table and rollback-point index ------------------------------
+  /// Add a thread at a free index, indexing its rollback map and CDG.
+  ThreadCtx& insert_thread(ThreadCtx t);
+  /// Remove a thread from the table and the index.
+  void erase_thread(std::map<std::uint32_t, ThreadCtx>::iterator it);
+  void terminate_thread(ThreadCtx& t);
+  /// t.rollbacks[g] = at, and the same in the index.
+  void set_rollback(ThreadCtx& t, const GuessId& g, const StateIndex& at);
+  void erase_rollback(ThreadCtx& t, const GuessId& g);
+
   // ---- bookkeeping ---------------------------------------------------------
   StateIndex current_index(const ThreadCtx& t) const;
   /// Discard checkpoints, replay metadata, and logged inputs that no
   /// possible future rollback can reach (everything strictly before the
   /// earliest rollback point of any still-unresolved dependency).  Keeps a
   /// long-running server's speculative state bounded by the window of
-  /// in-doubt guesses instead of the run length.
+  /// in-doubt guesses instead of the run length.  The sweep runs only when
+  /// its inputs changed since the last one; the per-guess maps of resolved
+  /// guesses are dropped on every call.
   void gc_resolved_state();
+  void sweep_resolved_state(const RollbackSummary& summary);
   void record_event(ThreadCtx& t, trace::ObservableEvent event);
   void flush_events(ThreadCtx& t);
   void flush_logs();
@@ -363,6 +418,10 @@ class SpeculativeProcess {
   util::Rng rng_;
 
   std::map<std::uint32_t, ThreadCtx> threads_;  // ascending thread index
+  /// Every entry of threads_' rollback maps, and which threads hold which
+  /// guesses; kept in step by insert_thread, erase_thread, set_rollback,
+  /// erase_rollback and the CDG holder marks.
+  RollbackIndex rollback_index_;
   std::uint32_t max_thread_ = 0;
   std::uint32_t incarnation_ = 0;
   /// Thread index at which incarnation_ began (0 for the first); stamped on
@@ -394,16 +453,29 @@ class SpeculativeProcess {
   };
   std::map<std::string, GovernorSite> governor_;
 
-  /// Guesses created for SAFE-classified sites under the soundness oracle;
-  /// a value/time fault on one of these is a classifier bug.
+  /// Unresolved guesses created for SAFE-classified sites under the
+  /// soundness oracle; a value/time fault on one of these is a classifier
+  /// bug.  Dropped by GC once resolved.
   std::set<GuessId> safe_claimed_;
 
   /// reqid -> thread index of the caller awaiting the return.
   std::map<std::int64_t, std::uint32_t> outstanding_calls_;
   std::int64_t next_reqid_ = 1;
 
-  /// Messages accepted but not yet deliverable (no eligible waiting thread).
-  std::deque<net::Envelope> pending_;
+  /// Data messages not yet delivered, by delivery order: arrival order,
+  /// with rollback requeues in front (negative orders).
+  std::map<std::int64_t, net::Envelope> pending_;
+  std::int64_t pending_front_ = 0;  ///< order of the frontmost requeue
+  std::int64_t pending_back_ = 0;   ///< order of the next arrival
+  /// The same messages keyed by what blocks them: calls and sends wait
+  /// for a thread blocked in Receive, returns for the caller of their
+  /// reqid (reqid -> order).
+  std::set<std::int64_t> pending_receives_;
+  std::multimap<std::int64_t, std::int64_t> pending_returns_;
+  /// Orders of the pending messages that are orphans as of history
+  /// abort epoch orphans_epoch_.
+  std::set<std::int64_t> pending_orphans_;
+  std::uint64_t orphans_epoch_ = 0;
 
   struct LoggedInput {
     StateIndex at;   ///< receiving thread's state index after acceptance
@@ -424,6 +496,12 @@ class SpeculativeProcess {
   std::map<StateIndex, ReplayMeta> replay_meta_;
   bool replaying_ = false;
 
+  /// Something the GC sweep reads (checkpoints, replay metadata, input
+  /// log, which threads are dead) changed since the last sweep, which ran
+  /// against gc_summary_.
+  bool gc_stale_ = true;
+  RollbackSummary gc_summary_;
+
   /// The aborted guess whose processing is currently driving rollbacks;
   /// threaded into kWorkDiscarded / cascade kAbort events so attribution
   /// can trace collateral damage back to the originating mis-guess.
@@ -434,7 +512,8 @@ class SpeculativeProcess {
 
   /// Targeted control plane: which processes saw each guess in a tag.
   std::map<GuessId, std::vector<ProcessId>> spread_;
-  /// (guess, control-kind) pairs already forwarded (loop prevention).
+  /// (guess, control-kind) pairs already forwarded (loop prevention); only
+  /// guesses with a spread_ entry, dropped with it.
   std::set<std::pair<GuessId, int>> control_forwarded_;
 
   std::vector<trace::ObservableEvent> committed_log_;
@@ -447,7 +526,7 @@ class SpeculativeProcess {
   sim::Time completion_time_ = 0;
   bool stepping_ = false;             ///< re-entrancy guard for run_thread
   bool in_process_arrivals_ = false;  ///< re-entrancy guard for delivery
-  std::map<std::uint32_t, bool> step_scheduled_;
+  util::FlatSet<std::uint32_t> step_scheduled_;  ///< threads with a step due
   std::map<std::uint32_t, sim::Scheduler::Handle> compute_timers_;
 };
 

@@ -1,11 +1,15 @@
 // Message arrival and receive processing (sections 4.2.3 and 4.2.4).
 //
 // Arriving data messages sit in a pending queue until a thread can accept
-// them.  Each delivery attempt re-checks the orphan test (a queued message
-// may become an orphan when an abort lands), enforces the future-thread
-// rule, and picks the waiting thread that acquires the fewest new
-// dependencies.  Accepting a message that introduces new dependencies
-// checkpoints the thread first and starts a new interval.
+// them.  The queue is keyed by what blocks each message (a thread waiting in
+// Receive for calls and sends, the caller of the reqid for returns), so a
+// pass finds the first deliverable message without touching the others.
+// The orphan test (a queued message may become an orphan when an abort
+// lands) is re-run only when the history's abort epoch moves.  Delivery
+// enforces the future-thread rule and picks the waiting thread that
+// acquires the fewest new dependencies.  Accepting a message that
+// introduces new dependencies checkpoints the thread first and starts a
+// new interval.
 #include "speculation/process.h"
 #include "util/check.h"
 #include "util/logging.h"
@@ -51,17 +55,17 @@ void SpeculativeProcess::on_message(const net::Envelope& env) {
     after_guard_change();
     return;
   }
-  pending_.push_back(env);
+  queue_pending(env, /*front=*/false);
   process_arrivals();
 }
 
 void SpeculativeProcess::forward_control(ControlKind kind,
                                          const GuessId& subject,
                                          ProcessId from) {
-  const auto key = std::pair(subject, static_cast<int>(kind));
-  if (!control_forwarded_.insert(key).second) return;  // already forwarded
   auto it = spread_.find(subject);
   if (it == spread_.end()) return;
+  const auto key = std::pair(subject, static_cast<int>(kind));
+  if (!control_forwarded_.insert(key).second) return;  // already forwarded
   auto msg = std::make_shared<ControlMessage>();
   msg->control = kind;
   msg->subject = subject;
@@ -86,40 +90,123 @@ void SpeculativeProcess::forward_control(ControlKind kind,
 void SpeculativeProcess::process_arrivals() {
   // Delivery can trigger aborts and rollbacks that requeue messages and
   // call back into this function; the guard makes the nested call a no-op
-  // (the outer loop rescans anyway).
+  // (the outer loop looks again anyway).
   if (in_process_arrivals_) return;
   in_process_arrivals_ = true;
-  bool progressed = true;
-  while (progressed) {
-    progressed = false;
-    for (std::size_t i = 0; i < pending_.size(); ++i) {
-      const net::Envelope env = pending_[i];  // copy: delivery mutates
-      const auto msg =
-          std::static_pointer_cast<const DataMessage>(env.payload);
+  // Each pass handles the first message, in queue order, that is an
+  // orphan or deliverable — an orphan first when it is both.
+  for (;;) {
+    refresh_orphans();
+    const std::optional<std::int64_t> next = first_deliverable();
+    if (!pending_orphans_.empty() &&
+        (!next || *pending_orphans_.begin() <= *next)) {
       // Orphan test (4.2.3): discard messages from aborted computations.
-      if (history_.any_aborted(msg->guard)) {
-        ++stats_.orphans_discarded;
-        OCSP_DLOG << name_ << ": orphan discarded " << msg->describe();
-        pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
-        progressed = true;
-        break;  // indices shifted; rescan
-      }
-      // Remove before delivering: try_deliver may abort/roll back, which
-      // requeues other messages and would invalidate any saved position.
-      pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
-      if (try_deliver(env)) {
-        progressed = true;
-        break;
-      }
-      // Not deliverable right now; put it back where it was (try_deliver
-      // without a delivery does not mutate the queue).
-      pending_.insert(pending_.begin() + static_cast<std::ptrdiff_t>(i), env);
+      const net::Envelope env = unqueue_pending(*pending_orphans_.begin());
+      ++stats_.orphans_discarded;
+      OCSP_DLOG << name_ << ": orphan discarded "
+                << std::static_pointer_cast<const DataMessage>(env.payload)
+                       ->describe();
+      continue;
     }
+    if (!next) break;
+    // Remove before delivering: deliver may abort/roll back, which
+    // requeues other messages.
+    deliver(unqueue_pending(*next));
   }
   in_process_arrivals_ = false;
 }
 
-bool SpeculativeProcess::try_deliver(const net::Envelope& env) {
+void SpeculativeProcess::queue_pending(const net::Envelope& env,
+                                       bool front) {
+  const std::int64_t order = front ? --pending_front_ : pending_back_++;
+  pending_.emplace(order, env);
+  const auto msg = std::static_pointer_cast<const DataMessage>(env.payload);
+  if (msg->data_kind == DataKind::kReturn) {
+    pending_returns_.emplace(msg->reqid, order);
+  } else {
+    pending_receives_.insert(order);
+  }
+  // Verdicts of an older epoch are all redone by the next refresh.
+  if (orphans_epoch_ == history_.abort_epoch() &&
+      history_.any_aborted(msg->guard)) {
+    pending_orphans_.insert(order);
+  }
+}
+
+net::Envelope SpeculativeProcess::unqueue_pending(std::int64_t order) {
+  auto it = pending_.find(order);
+  net::Envelope env = std::move(it->second);
+  pending_.erase(it);
+  const auto msg = std::static_pointer_cast<const DataMessage>(env.payload);
+  if (msg->data_kind == DataKind::kReturn) {
+    auto [first, last] = pending_returns_.equal_range(msg->reqid);
+    for (auto r = first; r != last; ++r) {
+      if (r->second == order) {
+        pending_returns_.erase(r);
+        break;
+      }
+    }
+  } else {
+    pending_receives_.erase(order);
+  }
+  pending_orphans_.erase(order);
+  return env;
+}
+
+void SpeculativeProcess::refresh_orphans() {
+  if (orphans_epoch_ == history_.abort_epoch()) return;
+  pending_orphans_.clear();
+  for (const auto& [order, env] : pending_) {
+    const auto msg = std::static_pointer_cast<const DataMessage>(env.payload);
+    if (history_.any_aborted(msg->guard)) pending_orphans_.insert(order);
+  }
+  orphans_epoch_ = history_.abort_epoch();
+}
+
+bool SpeculativeProcess::return_blocked(std::int64_t reqid) const {
+  // Mirrors deliver: a return whose call is gone is consumed as stale, and
+  // a missing caller thread is deliver's CHECK to report.
+  auto call = outstanding_calls_.find(reqid);
+  if (call == outstanding_calls_.end()) return false;
+  auto th = threads_.find(call->second);
+  if (th == threads_.end()) return false;
+  return th->second.phase != ThreadCtx::Phase::kAwaitReply ||
+         th->second.outstanding_reqid != reqid;
+}
+
+std::optional<std::int64_t> SpeculativeProcess::first_deliverable() const {
+  std::optional<std::int64_t> best;
+  for (const auto& [reqid, order] : pending_returns_) {
+    if (!return_blocked(reqid) && (!best || order < *best)) best = order;
+  }
+  if (pending_receives_.empty()) return best;
+  // deliver only ever bounds the receiving thread from below, so a
+  // call or send is deliverable iff the highest thread waiting in Receive
+  // may take it.
+  const ThreadCtx* top = nullptr;
+  for (auto it = threads_.rbegin(); it != threads_.rend(); ++it) {
+    if (it->second.phase == ThreadCtx::Phase::kAwaitMessage) {
+      top = &it->second;
+      break;
+    }
+  }
+  if (top == nullptr) return best;
+  for (std::int64_t order : pending_receives_) {
+    if (best && order > *best) break;
+    const auto msg = std::static_pointer_cast<const DataMessage>(
+        pending_.at(order).payload);
+    const GuessId own_in_tag = msg->guard.for_owner(id_);
+    if (own_in_tag.valid() && own_in_tag.incarnation == incarnation_ &&
+        top->index < own_in_tag.index) {
+      continue;
+    }
+    best = order;
+    break;
+  }
+  return best;
+}
+
+void SpeculativeProcess::deliver(const net::Envelope& env) {
   const auto msg = std::static_pointer_cast<const DataMessage>(env.payload);
 
   // Which of OUR guesses does this message depend on?  A tag mentioning our
@@ -133,16 +220,14 @@ bool SpeculativeProcess::try_deliver(const net::Envelope& env) {
       // The caller thread was rolled back; its re-issued call has a fresh
       // reqid and the server will answer that one.  This return is stale.
       ++stats_.orphans_discarded;
-      return true;  // consume (drop)
+      return;
     }
     const std::uint32_t tidx = call_it->second;
     auto th = threads_.find(tidx);
     OCSP_CHECK_MSG(th != threads_.end(), "outstanding call without thread");
     ThreadCtx& t = th->second;
-    if (t.phase != ThreadCtx::Phase::kAwaitReply ||
-        t.outstanding_reqid != msg->reqid) {
-      return false;  // should not happen, but stay safe: keep queued
-    }
+    OCSP_CHECK(t.phase == ThreadCtx::Phase::kAwaitReply &&
+               t.outstanding_reqid == msg->reqid);
     // Future-thread detection (4.2.3): a return that depends on one of our
     // later speculative threads would make that thread causally precede
     // itself.  Abort the future guess; the return then becomes an orphan
@@ -156,7 +241,7 @@ bool SpeculativeProcess::try_deliver(const net::Envelope& env) {
       abort_own_guess(own_in_tag, "future-thread-return");
       after_guard_change();
       ++stats_.orphans_discarded;
-      return true;  // consume: it now depends on an aborted guess
+      return;  // consumed: it now depends on an aborted guess
     }
     accept_message(t, env);
     t.machine.resume_with_value(msg->result);
@@ -170,7 +255,7 @@ bool SpeculativeProcess::try_deliver(const net::Envelope& env) {
     ev.data = msg->result;
     record_event(t, std::move(ev));
     schedule_step(t.index);
-    return true;
+    return;
   }
 
   // Requests and one-way sends go to a thread blocked in Receive.  Eligible
@@ -196,7 +281,7 @@ bool SpeculativeProcess::try_deliver(const net::Envelope& env) {
       best_new_deps = new_deps;
     }
   }
-  if (best == nullptr) return false;
+  OCSP_CHECK_MSG(best != nullptr, "no thread waits in Receive");
 
   ThreadCtx& t = *best;
   accept_message(t, env);
@@ -212,7 +297,6 @@ bool SpeculativeProcess::try_deliver(const net::Envelope& env) {
   ev.data = csp::Value(msg->args);
   record_event(t, std::move(ev));
   schedule_step(t.index);
-  return true;
 }
 
 void SpeculativeProcess::accept_message(ThreadCtx& t,
@@ -249,8 +333,8 @@ void SpeculativeProcess::accept_message(ThreadCtx& t,
   for (const auto& g : newguards) {
     t.guard.add(g);
     t.cdg.add_node(g);
-    t.rollbacks[g] = rollback_point;
-    history_.peer(g.owner).set_status(g, GuessStatus::kUnknown);
+    set_rollback(t, g, rollback_point);
+    history_.set_status(g, GuessStatus::kUnknown);
   }
   if (!newguards.empty()) {
     obs::speculation_depth_hist(live_metrics_)
@@ -258,6 +342,7 @@ void SpeculativeProcess::accept_message(ThreadCtx& t,
   }
 
   input_log_.push_back(LoggedInput{current_index(t), rollback_point, env});
+  gc_stale_ = true;
   timeline().record({trace::TimelineEntry::Kind::kMsgDeliver,
                      env.delivered_at, id_, env.src, msg->describe()});
 }

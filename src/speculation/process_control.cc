@@ -88,11 +88,13 @@ void SpeculativeProcess::commit_guess_local(const GuessId& g) {
   while (!queue.empty()) {
     GuessId h = queue.back();
     queue.pop_back();
-    if (history_.status(h) == GuessStatus::kCommitted) {
-      // Already processed — but still scrub any lingering CDG/guard entry.
-    }
-    history_.peer(h.owner).set_status(h, GuessStatus::kCommitted);
-    for (auto& [idx, t] : threads_) {
+    history_.set_status(h, GuessStatus::kCommitted);
+    // Only threads holding h can carry it in a guard, rollback map or CDG
+    // (a guard member always has a rollback entry).
+    for (std::uint32_t idx : rollback_index_.holders(h)) {
+      auto th = threads_.find(idx);
+      if (th == threads_.end()) continue;
+      ThreadCtx& t = th->second;
       if (t.cdg.has_node(h)) {
         // Predecessors of a committed guess must have committed too: a
         // guess only commits after everything in its guard resolved.
@@ -102,8 +104,9 @@ void SpeculativeProcess::commit_guess_local(const GuessId& g) {
         t.cdg.remove_node(h);
       }
       t.guard.erase(h);
-      t.rollbacks.erase(h);
+      erase_rollback(t, h);
     }
+    rollback_index_.drop_holders(h);
   }
 }
 
@@ -123,10 +126,10 @@ void SpeculativeProcess::abort_guess_local(const GuessId& g) {
   // damage of `g`; stamp the cause so attribution can walk it back.
   const GuessId saved_cause = rollback_cause_;
   rollback_cause_ = g;
-  history_.peer(g.owner).set_status(g, GuessStatus::kAborted);
+  history_.set_status(g, GuessStatus::kAborted);
   // The abort of x_{i,n} starts incarnation i+1 at index n: every guess
   // x_{i,m} with m >= n is implicitly aborted (4.1.2).
-  history_.peer(g.owner).observe_incarnation(g.incarnation + 1, g.index);
+  history_.observe_incarnation(g.owner, g.incarnation + 1, g.index);
 
   timeline().record({trace::TimelineEntry::Kind::kAbort,
                      host_.scheduler().now(), id_, kNoProcess,
@@ -134,7 +137,14 @@ void SpeculativeProcess::abort_guess_local(const GuessId& g) {
 
   rollback_aborted_dependencies();
   // Scrub CDG nodes of the aborted guess from untouched threads.
-  for (auto& [idx, t] : threads_) t.cdg.remove_node(g);
+  for (std::uint32_t idx : rollback_index_.holders(g)) {
+    auto th = threads_.find(idx);
+    if (th == threads_.end()) continue;
+    th->second.cdg.remove_node(g);
+    if (th->second.rollbacks.count(g) == 0) {
+      rollback_index_.remove_holder(idx, g);
+    }
+  }
   rollback_cause_ = saved_cause;
 }
 
@@ -188,8 +198,8 @@ void SpeculativeProcess::abort_own_guess(const GuessId& g,
                                          const char* reason) {
   if (history_.status(g) != GuessStatus::kUnknown) return;
   OCSP_CHECK(g.owner == id_);
-  history_.peer(id_).set_status(g, GuessStatus::kAborted);
-  history_.peer(id_).observe_incarnation(g.incarnation + 1, g.index);
+  history_.set_status(g, GuessStatus::kAborted);
+  history_.observe_incarnation(id_, g.incarnation + 1, g.index);
   timeline().record({trace::TimelineEntry::Kind::kAbort,
                      host_.scheduler().now(), id_, kNoProcess,
                      g.to_string() + std::string(" (") + reason + ")"});
@@ -228,8 +238,8 @@ void SpeculativeProcess::abort_own_guess(const GuessId& g,
   for (const auto& c : cascade) {
     if (c == g) continue;
     if (history_.status(c) == GuessStatus::kUnknown) {
-      history_.peer(id_).set_status(c, GuessStatus::kAborted);
-      history_.peer(id_).observe_incarnation(c.incarnation + 1, c.index);
+      history_.set_status(c, GuessStatus::kAborted);
+      history_.observe_incarnation(id_, c.incarnation + 1, c.index);
       ++stats_.aborts_cascade;
       ++cascaded;
       record_abort(c, obs::AbortReason::kCascade, "killed-with-thread", g);
@@ -302,12 +312,13 @@ void SpeculativeProcess::kill_thread(std::uint32_t index,
       external_buffered_at_.erase({t.index, i});
     }
   }
-  threads_.erase(it);
+  erase_thread(it);
 }
 
 void SpeculativeProcess::rollback_to(const StateIndex& target,
                                      bool kill_target_thread) {
   ++stats_.rollbacks;
+  gc_stale_ = true;  // checkpoints, replay metadata and inputs are purged
   timeline().record({trace::TimelineEntry::Kind::kRollback,
                      host_.scheduler().now(), id_, kNoProcess,
                      target.to_string()});
@@ -391,8 +402,8 @@ void SpeculativeProcess::rollback_to(const StateIndex& target,
   std::uint64_t cascaded = 0;
   for (const auto& c : cascade) {
     if (history_.status(c) == GuessStatus::kUnknown) {
-      history_.peer(id_).set_status(c, GuessStatus::kAborted);
-      history_.peer(id_).observe_incarnation(c.incarnation + 1, c.index);
+      history_.set_status(c, GuessStatus::kAborted);
+      history_.observe_incarnation(id_, c.incarnation + 1, c.index);
       ++stats_.aborts_cascade;
       ++cascaded;
       record_abort(c, obs::AbortReason::kCascade, "killed-by-rollback",
@@ -420,7 +431,7 @@ void SpeculativeProcess::rollback_to(const StateIndex& target,
   // filter runs again when they are re-delivered.
   std::vector<LoggedInput> kept;
   kept.reserve(input_log_.size());
-  std::deque<net::Envelope> requeued;
+  std::vector<net::Envelope> requeued;
   for (auto& entry : input_log_) {
     // Only the rolled-back threads' consumptions are undone; messages a
     // surviving thread consumed stay consumed.
@@ -448,7 +459,7 @@ void SpeculativeProcess::rollback_to(const StateIndex& target,
         .add(static_cast<double>(pre_interval - target.interval));
   }
   for (auto it = requeued.rbegin(); it != requeued.rend(); ++it) {
-    pending_.push_front(*it);
+    queue_pending(*it, /*front=*/true);
   }
 
   process_arrivals();
@@ -646,10 +657,9 @@ void SpeculativeProcess::restore_thread(const StateIndex& target) {
     // state forked is dead too, then drop it.
     if (restored.has_pending_join && restored.join_guess.valid() &&
         history_.status(restored.join_guess) == GuessStatus::kUnknown) {
-      history_.peer(id_).set_status(restored.join_guess,
-                                    GuessStatus::kAborted);
-      history_.peer(id_).observe_incarnation(
-          restored.join_guess.incarnation + 1, restored.join_guess.index);
+      history_.set_status(restored.join_guess, GuessStatus::kAborted);
+      history_.observe_incarnation(id_, restored.join_guess.incarnation + 1,
+                                   restored.join_guess.index);
       ++stats_.aborts_cascade;
       record_abort(restored.join_guess, obs::AbortReason::kCascade,
                    "zombie-checkpoint", rollback_cause_);
@@ -697,7 +707,7 @@ void SpeculativeProcess::restore_thread(const StateIndex& target) {
       restored.join_guess_aborted = true;
     }
   }
-  threads_.insert_or_assign(idx, std::move(restored));
+  insert_thread(std::move(restored));
 }
 
 // ---------------------------------------------------------------------------
@@ -706,7 +716,7 @@ void SpeculativeProcess::restore_thread(const StateIndex& target) {
 
 void SpeculativeProcess::on_precedence_msg(const GuessId& subject,
                                            const GuardSet& guard) {
-  history_.peer(subject.owner).set_status(subject, GuessStatus::kUnknown);
+  history_.set_status(subject, GuessStatus::kUnknown);
 
   // Collect cycles first: aborting mutates threads_ under our feet.
   std::vector<GuessId> own_to_abort;
@@ -715,6 +725,8 @@ void SpeculativeProcess::on_precedence_msg(const GuessId& subject,
       if (!t.cdg.has_node(h) && !t.cdg.has_node(subject)) continue;
       if (t.cdg.has_edge(h, subject)) continue;
       std::vector<GuessId> cycle = t.cdg.add_edge(h, subject);
+      rollback_index_.add_holder(idx, h);
+      rollback_index_.add_holder(idx, subject);
       {
         obs::Event ev = make_event(obs::EventKind::kCdgEdgeAdded);
         ev.thread = idx;
@@ -778,18 +790,38 @@ void SpeculativeProcess::after_guard_change() {
 }
 
 void SpeculativeProcess::gc_resolved_state() {
-  // The earliest state a future rollback can target is the minimum
-  // rollback point over every still-unresolved dependency.
-  StateIndex low{~0u, ~0u, ~0u};
-  bool any_unresolved = false;
-  for (const auto& [idx, t] : threads_) {
-    for (const auto& [g, rb] : t.rollbacks) {
-      if (history_.status(g) == GuessStatus::kUnknown) {
-        any_unresolved = true;
-        if (rb < low) low = rb;
+  const RollbackSummary summary = rollback_summary();
+  // The sweep is idempotent: against unchanged inputs it prunes nothing.
+  if (gc_stale_ || !(summary == gc_summary_)) {
+    sweep_resolved_state(summary);
+    gc_summary_ = summary;
+    gc_stale_ = false;
+  }
+
+  // Resolved guesses need no targeted-control bookkeeping either.  The
+  // forward marks go with the recipients, so a control message retried
+  // after this point still finds nothing to forward.
+  for (auto it = spread_.begin(); it != spread_.end();) {
+    if (history_.status(it->first) != GuessStatus::kUnknown) {
+      for (ControlKind kind : {ControlKind::kCommit, ControlKind::kAbort,
+                               ControlKind::kPrecedence}) {
+        control_forwarded_.erase({it->first, static_cast<int>(kind)});
       }
+      it = spread_.erase(it);
+    } else {
+      ++it;
     }
   }
+  std::erase_if(safe_claimed_, [this](const GuessId& g) {
+    return history_.status(g) != GuessStatus::kUnknown;
+  });
+}
+
+void SpeculativeProcess::sweep_resolved_state(const RollbackSummary& summary) {
+  // The earliest state a future rollback can target is the minimum
+  // rollback point over every still-unresolved dependency.
+  const bool any_unresolved = summary.any_unresolved;
+  const StateIndex& low = summary.low;
 
   // Per thread, the replay strategy rebuilds from the latest full
   // checkpoint at or before the rollback target, so keep the greatest
@@ -805,21 +837,15 @@ void SpeculativeProcess::gc_resolved_state() {
   // Threads that are dead (terminated or gone) and targeted by no
   // unresolved rollback entry can never be resurrected; drop their state
   // wholesale.
-  std::set<std::uint32_t> rollback_targets;
-  for (const auto& [idx, t] : threads_) {
-    for (const auto& [g, rb] : t.rollbacks) {
-      if (history_.status(g) == GuessStatus::kUnknown) {
-        rollback_targets.insert(rb.thread);
-      }
-    }
-  }
   auto thread_dead = [&](std::uint32_t idx) {
     auto it = threads_.find(idx);
     return it == threads_.end() ||
            it->second.phase == ThreadCtx::Phase::kTerminated;
   };
   auto prunable = [&](const StateIndex& key) {
-    if (thread_dead(key.thread) && rollback_targets.count(key.thread) == 0) {
+    if (thread_dead(key.thread) &&
+        !std::binary_search(summary.targets.begin(), summary.targets.end(),
+                            key.thread)) {
       return true;
     }
     auto keep = keep_from.find(key.thread);
@@ -850,15 +876,50 @@ void SpeculativeProcess::gc_resolved_state() {
     }
   }
   input_log_ = std::move(kept_inputs);
+}
 
-  // Resolved guesses need no targeted-control bookkeeping either.
-  for (auto it = spread_.begin(); it != spread_.end();) {
-    if (history_.status(it->first) != GuessStatus::kUnknown) {
-      it = spread_.erase(it);
-    } else {
-      ++it;
+SpeculativeProcess::RollbackSummary SpeculativeProcess::rollback_summary()
+    const {
+  RollbackSummary out;
+  for (const auto& [entry, refs] : rollback_index_) {
+    const auto& [at, g] = entry;
+    if (history_.status(g) != GuessStatus::kUnknown) continue;
+    if (!out.any_unresolved) {
+      out.any_unresolved = true;
+      out.low = at;  // entries ascend by rollback point
+    }
+    out.targets.push_back(at.thread);
+  }
+  std::sort(out.targets.begin(), out.targets.end());
+  out.targets.erase(std::unique(out.targets.begin(), out.targets.end()),
+                    out.targets.end());
+  return out;
+}
+
+SpeculativeProcess::RollbackSummary
+SpeculativeProcess::rollback_summary_by_walk() const {
+  RollbackSummary out;
+  std::set<std::uint32_t> targets;
+  for (const auto& [idx, t] : threads_) {
+    for (const auto& [g, rb] : t.rollbacks) {
+      if (history_.status(g) == GuessStatus::kUnknown) {
+        out.any_unresolved = true;
+        if (rb < out.low) out.low = rb;
+        targets.insert(rb.thread);
+      }
     }
   }
+  out.targets.assign(targets.begin(), targets.end());
+  return out;
+}
+
+std::string SpeculativeProcess::RollbackSummary::to_string() const {
+  std::string out = any_unresolved ? "low=" + low.to_string() : "resolved";
+  out += " targets={";
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    out += (i > 0 ? "," : "") + std::to_string(targets[i]);
+  }
+  return out + "}";
 }
 
 // ---- GVT fossil collection --------------------------------------------
@@ -891,14 +952,13 @@ const ThreadCtx* restore_base(
 
 sim::Time SpeculativeProcess::speculation_floor() const {
   sim::Time floor = sim::kTimeNever;
-  for (const auto& [idx, t] : threads_) {
-    for (const auto& [g, rb] : t.rollbacks) {
-      if (history_.status(g) != GuessStatus::kUnknown) continue;
-      const ThreadCtx* base = restore_base(checkpoints_, rb, nullptr);
-      // A missing base means the rollback would fail anyway (it cannot in
-      // a correct run); be conservative and pin the floor at zero.
-      floor = std::min(floor, base ? base->checkpointed_at : sim::Time{0});
-    }
+  for (const auto& [entry, refs] : rollback_index_) {
+    const auto& [rb, g] = entry;
+    if (history_.status(g) != GuessStatus::kUnknown) continue;
+    const ThreadCtx* base = restore_base(checkpoints_, rb, nullptr);
+    // A missing base means the rollback would fail anyway (it cannot in a
+    // correct run); be conservative and pin the floor at zero.
+    floor = std::min(floor, base ? base->checkpointed_at : sim::Time{0});
   }
   return floor;
 }
@@ -909,13 +969,12 @@ std::size_t SpeculativeProcess::fossil_collect(sim::Time gvt) {
   // plus the latest checkpoint of each live thread — a dependency acquired
   // later replays from there, whatever its target turns out to be.
   std::set<StateIndex> needed;
-  for (const auto& [idx, t] : threads_) {
-    for (const auto& [g, rb] : t.rollbacks) {
-      if (history_.status(g) != GuessStatus::kUnknown) continue;
-      StateIndex base_key{};
-      if (restore_base(checkpoints_, rb, &base_key) != nullptr) {
-        needed.insert(base_key);
-      }
+  for (const auto& [entry, refs] : rollback_index_) {
+    const auto& [rb, g] = entry;
+    if (history_.status(g) != GuessStatus::kUnknown) continue;
+    StateIndex base_key{};
+    if (restore_base(checkpoints_, rb, &base_key) != nullptr) {
+      needed.insert(base_key);
     }
   }
   std::map<std::uint32_t, StateIndex> latest;
@@ -940,6 +999,7 @@ std::size_t SpeculativeProcess::fossil_collect(sim::Time gvt) {
     }
   }
   stats_.checkpoints_fossil_collected += freed;
+  if (freed > 0) gc_stale_ = true;
   return freed;
 }
 

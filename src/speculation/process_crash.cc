@@ -80,9 +80,9 @@ void SpeculativeProcess::observe_peer_incarnation(ProcessId src,
                                                   std::uint32_t inc,
                                                   std::uint32_t start) {
   if (crashed_ || src == id_) return;
-  PeerHistory& peer = history_.peer(src);
-  if (inc <= peer.latest_incarnation()) return;  // nothing new
-  peer.observe_incarnation(inc, start);
+  const PeerHistory* peer = history_.find_peer(src);
+  if (inc <= (peer ? peer->latest_incarnation() : 0)) return;  // nothing new
+  history_.observe_incarnation(src, inc, start);
   OCSP_DLOG << name_ << ": observed " << src << " incarnation " << inc
             << " from index " << start;
   // The implicit-abort rule just flipped guesses to kAborted without an

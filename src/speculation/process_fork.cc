@@ -151,8 +151,7 @@ void SpeculativeProcess::do_fork(ThreadCtx& t, const csp::ForkStmt& f) {
       recorder().record(std::move(se));
     }
 
-    auto [it, inserted] = threads_.emplace(new_index, std::move(r));
-    OCSP_CHECK_MSG(inserted, "thread index reuse without kill");
+    insert_thread(std::move(r));
     schedule_step(new_index);
 
     // No fork timer (S1 cannot fault), no predictor work, no creation
@@ -235,7 +234,7 @@ void SpeculativeProcess::do_fork(ThreadCtx& t, const csp::ForkStmt& f) {
   r.own_site = f.site;
   r.created_at = current_index(t);
 
-  history_.peer(id_).set_status(guess, GuessStatus::kUnknown);
+  history_.set_status(guess, GuessStatus::kUnknown);
 
   timeline().record({trace::TimelineEntry::Kind::kFork,
                      host_.scheduler().now(), id_, kNoProcess,
@@ -263,12 +262,11 @@ void SpeculativeProcess::do_fork(ThreadCtx& t, const csp::ForkStmt& f) {
     ++live_metrics_.counter("guesses_made");
   }
 
-  auto [it, inserted] = threads_.emplace(new_index, std::move(r));
-  OCSP_CHECK_MSG(inserted, "thread index reuse without kill");
+  ThreadCtx& right = insert_thread(std::move(r));
   obs::speculation_depth_hist(live_metrics_)
-      .add(static_cast<double>(it->second.guard.size()));
-  take_checkpoint(it->second);
-  ++it->second.interval;  // keep the creation checkpoint key unique
+      .add(static_cast<double>(right.guard.size()));
+  take_checkpoint(right);
+  ++right.interval;  // keep the creation checkpoint key unique
   schedule_step(new_index);
 
   // The parent continues as the left thread; give its post-fork state its
@@ -316,7 +314,7 @@ void SpeculativeProcess::do_join_inner(ThreadCtx& left) {
     // caller's after_guard_change() drains the right thread's buffered
     // events (flush order requires this thread terminated first) and
     // re-checks completion.
-    left.phase = ThreadCtx::Phase::kTerminated;
+    terminate_thread(left);
     left.has_pending_join = false;
     left.join_safe = false;
     return;
@@ -471,7 +469,7 @@ void SpeculativeProcess::finalize_join_commit(ThreadCtx& left) {
   }
   site_aborts_[left.join_site] = 0;
   governor_outcome(left.join_site, /*aborted=*/false);
-  left.phase = ThreadCtx::Phase::kTerminated;
+  terminate_thread(left);
   left.has_pending_join = false;
   timeline().record({trace::TimelineEntry::Kind::kCommit,
                      host_.scheduler().now(), id_, kNoProcess,
@@ -506,14 +504,13 @@ void SpeculativeProcess::reexecute_right(ThreadCtx& left) {
   r.has_own_guess = false;
   r.created_at = current_index(left);
 
-  left.phase = ThreadCtx::Phase::kTerminated;
+  terminate_thread(left);
   left.has_pending_join = false;
 
-  auto [it, inserted] = threads_.emplace(right_index, std::move(r));
-  OCSP_CHECK(inserted);
+  ThreadCtx& right = insert_thread(std::move(r));
   max_thread_ = std::max(max_thread_, right_index);
-  take_checkpoint(it->second);
-  ++it->second.interval;  // keep the creation checkpoint key unique
+  take_checkpoint(right);
+  ++right.interval;  // keep the creation checkpoint key unique
   schedule_step(right_index);
   flush_logs();
 }

@@ -1,0 +1,76 @@
+// Rollback-point index (section 4.1.3).
+//
+// Every live thread of a process keeps a rollback map: for each guess it
+// depends on, the state index a rollback restores if that guess aborts.
+// Forked threads inherit their parent's map, so the same (point, guess)
+// pair sits in many threads at once.  The index merges all of them into one
+// reference-counted set ordered by rollback point, so the earliest point
+// (the GC low-water mark) and the threads rollbacks target are read off it
+// instead of walking every thread's map, and it records which threads may
+// hold each guess, so resolving a guess visits only those threads.
+#pragma once
+
+#include <cstdint>
+#include <map>
+#include <utility>
+#include <vector>
+
+#include "speculation/guess.h"
+#include "util/flat_set.h"
+
+namespace ocsp::spec {
+
+class RollbackIndex {
+ public:
+  /// (rollback point, guess), ordered by point first.
+  using Entry = std::pair<StateIndex, GuessId>;
+
+  /// `thread`'s rollback map gained g -> at; `thread` now holds g.
+  void add(std::uint32_t thread, const GuessId& g, const StateIndex& at) {
+    ++refs_[Entry{at, g}];
+    add_holder(thread, g);
+  }
+
+  /// One add() of g -> at left a rollback map.  The holder mark stays
+  /// until remove_holder() or drop_holders(): the thread may still hold g
+  /// as a CDG node.
+  void remove(const GuessId& g, const StateIndex& at) {
+    auto it = refs_.find(Entry{at, g});
+    if (it != refs_.end() && --it->second == 0) refs_.erase(it);
+  }
+
+  /// `thread` may hold g (in its rollback map or CDG).
+  void add_holder(std::uint32_t thread, const GuessId& g) {
+    holders_[g].insert(thread);
+  }
+
+  void remove_holder(std::uint32_t thread, const GuessId& g) {
+    auto it = holders_.find(g);
+    if (it == holders_.end()) return;
+    it->second.erase(thread);
+    if (it->second.empty()) holders_.erase(it);
+  }
+
+  /// g is resolved and scrubbed from every thread.
+  void drop_holders(const GuessId& g) { holders_.erase(g); }
+
+  /// Threads that may hold g, ascending: a superset of the threads whose
+  /// rollback map or CDG contains g.  A copy, so callers may mutate the
+  /// index while they visit.
+  std::vector<std::uint32_t> holders(const GuessId& g) const {
+    auto it = holders_.find(g);
+    if (it == holders_.end()) return {};
+    return {it->second.begin(), it->second.end()};
+  }
+
+  /// Distinct entries, earliest rollback point first.
+  auto begin() const { return refs_.begin(); }
+  auto end() const { return refs_.end(); }
+  std::size_t size() const { return refs_.size(); }
+
+ private:
+  std::map<Entry, std::uint32_t> refs_;
+  std::map<GuessId, util::FlatSet<std::uint32_t>> holders_;
+};
+
+}  // namespace ocsp::spec

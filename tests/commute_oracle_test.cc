@@ -115,6 +115,7 @@ TEST(CommuteOracle, ContendedForgivenessMatchesSequentialReplay) {
 TEST(CommuteOracle, AbelianVariantSafeUpgradesKeepFullClientTraces) {
   core::CommuteRegistryParams p = contended(3, 7);
   p.mutate_ops = false;
+  p.spec.safe_site_oracle = false;  // exercise the elided fast path
   auto pess =
       baseline::run_scenario(core::commute_registry_scenario(p), false);
   auto opt =

@@ -50,8 +50,8 @@ TEST(FaultRng, LatencyDrawsUnperturbedByFaultHook) {
     netw.register_endpoint(1, [&](const net::Envelope& env) {
       first_delivery.emplace(env.id, sched.now());
     });
+    int n = 0;  // outlives the hook, which runs during sched.run()
     if (faults) {
-      int n = 0;
       netw.set_fault_hook([&n](const net::Envelope&, util::Rng& rng) {
         net::FaultDecision d;
         ++n;

@@ -3,7 +3,10 @@
 // window of in-doubt guesses, not by the length of the run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/workloads.h"
+#include "fault/plan.h"
 #include "speculation/runtime.h"
 
 namespace ocsp {
@@ -77,6 +80,136 @@ TEST(Gc, ClientStateAlsoPruned) {
   // the dead threads' checkpoints are pruned and only the live tail stays.
   EXPECT_LT(rt->process(0).checkpoint_count(), 8u);
   EXPECT_GT(rt->process(0).stats().checkpoints_pruned, 100u);
+}
+
+// ---- per-guess bookkeeping ----------------------------------------------
+
+/// The targeted-control relay pipeline: guesses chain through three
+/// streaming relays, and every resolution is forwarded hop by hop.  (Its
+/// cost grows steeply with the call count — precedence cycle checks walk
+/// every thread's CDG — so the tests keep it short.)
+core::PipelineParams targeted_relays() {
+  core::PipelineParams p;
+  p.calls = 32;
+  p.chain_depth = 3;
+  p.stream_relays = true;
+  p.spec.control = spec::ControlPlane::kTargeted;
+  return p;
+}
+
+TEST(Gc, PerGuessMapsEmptyOnceQuiet) {
+  auto rt = baseline::make_runtime(core::pipeline_scenario(targeted_relays()),
+                                   true);
+  rt->run(0);
+  // Step the run to see step flags in use before they drain.  (Forward
+  // marks live only within the handling of one control message.)
+  std::size_t peak_steps = 0;
+  while (rt->scheduler().step()) {
+    for (ProcessId id : rt->all_process_ids()) {
+      peak_steps = std::max(peak_steps, rt->process(id).step_flag_count());
+    }
+  }
+  ASSERT_TRUE(rt->all_clients_completed());
+  EXPECT_GT(peak_steps, 0u);
+  std::size_t forwards = 0;
+  for (const auto& ev : rt->recorder().events()) {
+    if (ev.kind == obs::EventKind::kControlSent && ev.detail == "forward") {
+      ++forwards;
+    }
+  }
+  EXPECT_GT(forwards, 0u);  // relays did mark resolutions as forwarded
+  std::uint64_t control_sent = 0;
+  for (ProcessId id : rt->all_process_ids()) {
+    const auto& proc = rt->process(id);
+    EXPECT_EQ(proc.control_forwarded_count(), 0u) << proc.name();
+    EXPECT_EQ(proc.step_flag_count(), 0u) << proc.name();
+    EXPECT_EQ(proc.safe_claim_count(), 0u) << proc.name();
+    control_sent += proc.stats().control_sent;
+  }
+  // Dropping the forward marks with the recipients forwards nothing new:
+  // the run sends exactly the control traffic it sent with unbounded maps.
+  EXPECT_EQ(control_sent, 535u);
+}
+
+// ---- rollback-point index versus the whole-thread walk ----------------------
+
+struct SteppedRun {
+  std::size_t in_doubt = 0;  ///< (step, process) checks with a dependency
+  std::uint64_t rollbacks = 0;
+};
+
+/// Run `scenario` one scheduler step at a time and, after every step,
+/// require each process's rollback-point index to agree with a walk over
+/// every thread's rollback map.
+SteppedRun expect_index_matches_walk(const baseline::Scenario& scenario,
+                                     sim::Time deadline) {
+  auto rt = baseline::make_runtime(scenario, true);
+  rt->run(0);
+  sim::Scheduler& sched = rt->scheduler();
+  SteppedRun out;
+  std::size_t steps = 0;
+  while (sched.next_time() <= deadline) {
+    sched.step();
+    ++steps;
+    for (ProcessId id : rt->all_process_ids()) {
+      const auto& proc = rt->process(id);
+      const auto index = proc.rollback_summary();
+      const auto walk = proc.rollback_summary_by_walk();
+      if (!(index == walk)) {
+        ADD_FAILURE() << proc.name() << " after step " << steps << ": index "
+                      << index.to_string() << ", walk " << walk.to_string();
+        return out;
+      }
+      if (index.any_unresolved) ++out.in_doubt;
+    }
+  }
+  out.rollbacks = rt->total_stats().rollbacks;
+  return out;
+}
+
+TEST(Gc, RollbackIndexMatchesWalkUnderValueFaults) {
+  for (auto strategy : {spec::RollbackStrategy::kCheckpointEveryInterval,
+                        spec::RollbackStrategy::kReplayFromLog}) {
+    core::PutLineParams p = long_run(64, strategy);
+    p.fail_probability = 0.05;
+    const SteppedRun run =
+        expect_index_matches_walk(core::putline_scenario(p), sim::seconds(60));
+    EXPECT_GT(run.in_doubt, 0u);
+    EXPECT_GT(run.rollbacks, 0u);
+  }
+}
+
+TEST(Gc, RollbackIndexMatchesWalkUnderChaos) {
+  core::AbortStormParams p;
+  p.calls = 12;
+  p.hit_period = 3;
+  p.spec.control_retry = true;
+  p.spec.control_retry_interval = sim::milliseconds(1);
+  p.spec.control_retry_limit = 30;
+  p.spec.join_wait_timeout = sim::milliseconds(200);
+  const auto base = core::abort_storm_scenario(p);
+  fault::ChaosSpec chaos;
+  chaos.horizon = baseline::run_scenario(base, false).last_completion;
+  chaos.partition_min_len = sim::milliseconds(1);
+  chaos.partition_max_len = sim::milliseconds(5);
+  chaos.crash_min_downtime = sim::milliseconds(1);
+  chaos.crash_max_downtime = sim::milliseconds(4);
+  for (std::uint64_t seed = 0; seed < 6; ++seed) {  // one per fault class
+    auto scenario = base;
+    scenario.options.fault_plan = fault::make_chaos_plan(
+        seed, chaos, static_cast<std::uint32_t>(scenario.processes.size()));
+    scenario.options.reliable.enabled = true;
+    const SteppedRun run = expect_index_matches_walk(scenario, sim::seconds(10));
+    EXPECT_GT(run.in_doubt, 0u) << "chaos seed " << seed;
+    EXPECT_GT(run.rollbacks, 0u) << "chaos seed " << seed;
+  }
+}
+
+TEST(Gc, RollbackIndexMatchesWalkOnTargetedRelays) {
+  EXPECT_GT(expect_index_matches_walk(
+                core::pipeline_scenario(targeted_relays()), sim::seconds(60))
+                .in_doubt,
+            0u);
 }
 
 }  // namespace

@@ -198,6 +198,7 @@ TEST(ObsChromeTrace, SafeFanoutDocumentRoundTripsWellFormed) {
   core::SafeFanoutParams p;
   p.servers = 4;
   p.net.latency = sim::microseconds(300);
+  p.spec.safe_site_oracle = false;  // exercise the elided fast path
   baseline::RunResult result =
       baseline::run_scenario(core::safe_fanout_scenario(p), true);
   ASSERT_TRUE(result.all_completed);

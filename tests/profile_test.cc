@@ -37,6 +37,7 @@ baseline::RunResult run_safe_fanout() {
   core::SafeFanoutParams p;
   p.servers = 4;
   p.net.latency = sim::microseconds(300);
+  p.spec.safe_site_oracle = false;  // exercise the elided fast path
   return baseline::run_scenario(core::safe_fanout_scenario(p), true);
 }
 

@@ -161,10 +161,28 @@ TEST(PeerHistory, StartIndexRefinesDownward) {
   EXPECT_EQ(h.latest_incarnation(), 1u);
 }
 
+TEST(HistoryTable, AbortEpochMovesOnlyWhenAbortsMayChange) {
+  HistoryTable t;
+  t.set_status(g(1, 0, 1), GuessStatus::kUnknown);  // starts incarnation 0
+  const std::uint64_t e0 = t.abort_epoch();
+  t.set_status(g(1, 0, 2), GuessStatus::kUnknown);  // start stays at 1
+  t.set_status(g(1, 0, 2), GuessStatus::kCommitted);
+  EXPECT_EQ(t.abort_epoch(), e0);
+  t.set_status(g(1, 0, 3), GuessStatus::kAborted);
+  const std::uint64_t e1 = t.abort_epoch();
+  EXPECT_GT(e1, e0);
+  t.observe_incarnation(1, 1, 4);  // implicitly aborts x_{0,4} onward
+  EXPECT_GT(t.abort_epoch(), e1);
+  EXPECT_EQ(t.status(g(1, 0, 5)), GuessStatus::kAborted);
+  const std::uint64_t e2 = t.abort_epoch();
+  t.observe_incarnation(1, 1, 6);  // a later start changes nothing
+  EXPECT_EQ(t.abort_epoch(), e2);
+}
+
 TEST(HistoryTable, AggregateQueries) {
   HistoryTable t;
-  t.peer(1).set_status(g(1, 0, 1), GuessStatus::kAborted);
-  t.peer(2).set_status(g(2, 0, 1), GuessStatus::kCommitted);
+  t.set_status(g(1, 0, 1), GuessStatus::kAborted);
+  t.set_status(g(2, 0, 1), GuessStatus::kCommitted);
   GuardSet guard{g(1, 0, 1), g(2, 0, 1), g(3, 0, 1)};
   EXPECT_TRUE(t.any_aborted(guard));
   auto unresolved = t.unresolved_of(guard);
@@ -245,6 +263,47 @@ TEST(Cdg, PredecessorsAndClosure) {
 TEST(Cdg, ClosureOfMissingNodeIsEmpty) {
   Cdg cdg;
   EXPECT_TRUE(cdg.closure_from(g(9, 0, 1)).empty());
+}
+
+// The reverse edges behind predecessors() and remove_node().
+
+TEST(Cdg, RemovingChainMiddleDetachesBothEnds) {
+  const GuessId a = g(0, 0, 1), b = g(1, 0, 1), c = g(2, 0, 1);
+  Cdg cdg;
+  cdg.add_edge(a, b);
+  cdg.add_edge(b, c);
+  cdg.remove_node(b);
+  EXPECT_TRUE(cdg.predecessors(c).empty());
+  EXPECT_EQ(cdg.closure_from(a), std::vector<GuessId>{a});
+  EXPECT_EQ(cdg.node_count(), 2u);
+  EXPECT_EQ(cdg.edge_count(), 0u);
+}
+
+TEST(Cdg, CopyMutatesIndependently) {
+  const GuessId a = g(0, 0, 1), b = g(1, 0, 1), c = g(2, 0, 1);
+  Cdg original;
+  original.add_edge(a, b);
+  Cdg copy = original;
+  copy.add_edge(c, b);
+  copy.remove_node(a);
+  EXPECT_EQ(original.predecessors(b), std::vector<GuessId>{a});
+  EXPECT_TRUE(original.has_edge(a, b));
+  EXPECT_FALSE(original.has_node(c));
+  EXPECT_EQ(copy.predecessors(b), std::vector<GuessId>{c});
+  EXPECT_FALSE(copy.has_node(a));
+  original.remove_node(b);
+  EXPECT_EQ(copy.predecessors(b), std::vector<GuessId>{c});
+}
+
+TEST(Cdg, EdgeAddedTwiceIsOnePredecessor) {
+  const GuessId a = g(0, 0, 1), b = g(1, 0, 1);
+  Cdg cdg;
+  cdg.add_edge(a, b);
+  cdg.add_edge(a, b);
+  EXPECT_EQ(cdg.predecessors(b), std::vector<GuessId>{a});
+  EXPECT_EQ(cdg.edge_count(), 1u);
+  cdg.remove_node(a);
+  EXPECT_TRUE(cdg.predecessors(b).empty());
 }
 
 // ---- Predictors ------------------------------------------------------------

@@ -92,8 +92,9 @@ TEST(TimeWarp, AntimessagesCancelInducedWork) {
   Engine eng(4);
   LpId c = -1;
   int c_count = 0;
-  c = eng.add_lp("C", [&](Env&, const Event&) {
+  c = eng.add_lp("C", [&](Env& state, const Event&) {
     ++c_count;
+    state.set("n", Value(state.get_or("n", Value(0)).as_int() + 1));
     return std::vector<Emit>{};
   });
   LpId b = -1;
@@ -110,8 +111,10 @@ TEST(TimeWarp, AntimessagesCancelInducedWork) {
   EXPECT_GE(eng.stats().antimessages_sent, 1u);
   // C processed: fwd-late (cancelled + re-sent after rollback) and
   // fwd-early; net effect is exactly two surviving events but possibly
-  // more raw processed events.  Surviving = 2.
+  // more raw processed events.  Surviving = 2: the antimessage B's
+  // rollback sent while a delivery batch was applied must reach C.
   EXPECT_GE(c_count, 2);
+  EXPECT_EQ(eng.state_of(c).get("n"), Value(2));
   // The re-sent fwd-late lands at recv time 101 = late(100) + 1.
   EXPECT_EQ(eng.lvt_of(c), 101);
 }

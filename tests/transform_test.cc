@@ -144,7 +144,9 @@ TEST(ForkInsertion, AntiDependencySetsNeedsCopy) {
       csp::hint(preds, "anti"),
       assign("shared", lit(Value(0))),
   });
-  const auto* f = find_fork(insert_forks(prog).program);
+  // Keep the result alive: find_fork points into its program.
+  const auto result = insert_forks(prog);
+  const auto* f = find_fork(result.program);
   ASSERT_NE(f, nullptr);
   EXPECT_TRUE(f->needs_copy);
 
@@ -153,7 +155,8 @@ TEST(ForkInsertion, AntiDependencySetsNeedsCopy) {
       csp::hint(preds, "noanti"),
       csp::print(var("r")),
   });
-  const auto* f2 = find_fork(insert_forks(prog2).program);
+  const auto result2 = insert_forks(prog2);
+  const auto* f2 = find_fork(result2.program);
   ASSERT_NE(f2, nullptr);
   EXPECT_FALSE(f2->needs_copy);
 }
@@ -231,7 +234,8 @@ TEST(Streaming, PredictorOptionOverridesDefault) {
   opts.predictor = [](const csp::CallStmt&) {
     return csp::PredictorSpec::always(Value(123));
   };
-  const auto* f = find_fork(stream_calls(prog, opts).program);
+  const auto result = stream_calls(prog, opts);
+  const auto* f = find_fork(result.program);
   ASSERT_NE(f, nullptr);
   EXPECT_EQ(f->predictors.at("r").constant, Value(123));
 }
