@@ -19,34 +19,43 @@
 #include "baseline/scenario.h"
 #include "core/workloads.h"
 #include "obs/attribution.h"
+#include "obs/events.h"
 #include "obs/metrics.h"
 #include "obs/prof_json.h"
 #include "obs/profile.h"
-#include "trace/timeline.h"
+#include "obs/recorder.h"
 #include "util/json.h"
 #include "util/logging.h"
 #include "util/table.h"
 
 namespace ocsp::bench {
 
-/// Print the protocol-relevant slice of a run's timeline (forks, joins,
-/// commits, aborts, rollbacks, message sends/deliveries).
-inline void print_timeline(const trace::Timeline& timeline,
+/// Print the paper-figure slice of a run's recorded events, one
+/// obs::to_string line each: forks, joins, commits, aborts, rollbacks,
+/// control distributions, CDG cycles, released outputs and, with
+/// `include_messages`, data-message sends and deliveries.  Past `max_lines`
+/// it counts the matching events left unprinted.
+inline void print_timeline(const obs::RunRecorder& recorder,
                            bool include_messages = true,
                            std::size_t max_lines = 80) {
-  std::size_t printed = 0;
-  for (const auto& e : timeline.entries()) {
-    using K = trace::TimelineEntry::Kind;
-    const bool is_message =
-        e.kind == K::kMsgSend || e.kind == K::kMsgDeliver;
-    if (is_message && !include_messages) continue;
-    if (e.kind == K::kNote) continue;
-    std::printf("  %s\n", trace::to_string(e).c_str());
-    if (++printed >= max_lines) {
-      std::printf("  ... (%zu more entries)\n",
-                  timeline.entries().size() - printed);
-      break;
+  using K = obs::EventKind;
+  std::vector<const obs::Event*> lines;
+  for (const auto& e : recorder.events()) {
+    const bool data_message =
+        (e.kind == K::kMsgSent || e.kind == K::kMsgDelivered) &&
+        e.control == obs::ControlType::kNone;
+    if ((include_messages && data_message) || e.kind == K::kFork ||
+        e.kind == K::kJoin || e.kind == K::kCommit || e.kind == K::kAbort ||
+        e.kind == K::kRollback || e.kind == K::kControlSent ||
+        e.kind == K::kCdgCycleDetected || e.kind == K::kExternalReleased) {
+      lines.push_back(&e);
     }
+  }
+  for (std::size_t i = 0; i < lines.size() && i < max_lines; ++i) {
+    std::printf("  %s\n", obs::to_string(*lines[i]).c_str());
+  }
+  if (lines.size() > max_lines) {
+    std::printf("  ... (%zu more entries)\n", lines.size() - max_lines);
   }
 }
 

@@ -30,7 +30,7 @@ void report() {
       params_for(4, sim::microseconds(500)));
   auto rt = baseline::make_runtime(scenario, false);
   rt->run();
-  print_timeline(rt->timeline());
+  print_timeline(rt->recorder());
 
   std::printf("\nCompletion time vs call count (one-way latency 500us):\n");
   util::Table table({"calls", "completion ms", "ms per call", "messages"});

@@ -31,7 +31,7 @@ void report() {
       params_for(4, sim::microseconds(500)));
   auto rt = baseline::make_runtime(scenario, true);
   rt->run();
-  print_timeline(rt->timeline());
+  print_timeline(rt->recorder());
   std::printf("\nprotocol: %s\n", rt->total_stats().to_string().c_str());
 
   std::printf("\nSequential vs streamed completion:\n");

@@ -28,7 +28,7 @@ void report() {
   auto rt = baseline::make_runtime(
       core::write_through_scenario(params_for(true)), true);
   rt->run();
-  print_timeline(rt->timeline());
+  print_timeline(rt->recorder());
   std::printf("\nprotocol: %s\n\n", rt->total_stats().to_string().c_str());
 
   util::Table table({"ordering", "time faults", "rollbacks", "orphans",

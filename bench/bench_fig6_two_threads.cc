@@ -25,8 +25,8 @@ void report() {
 
   auto rt = baseline::make_runtime(core::mutual_scenario(params()), true);
   rt->run();
-  std::printf("Timeline:\n");
-  print_timeline(rt->timeline());
+  std::printf("Scenario timeline:\n");
+  print_timeline(rt->recorder());
   std::printf("\nprotocol: %s\n\n", rt->total_stats().to_string().c_str());
 
   auto [pess, opt] = run_both(core::mutual_scenario(params()));

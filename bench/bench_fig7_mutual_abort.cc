@@ -26,8 +26,8 @@ void report() {
 
   auto rt = baseline::make_runtime(core::mutual_scenario(params()), true);
   rt->run();
-  std::printf("Timeline (protocol events only):\n");
-  print_timeline(rt->timeline(), /*include_messages=*/false);
+  std::printf("Scenario timeline (protocol events only):\n");
+  print_timeline(rt->recorder(), /*include_messages=*/false);
   std::printf("\nprotocol: %s\n\n", rt->total_stats().to_string().c_str());
 
   auto [pess, opt] = run_both(core::mutual_scenario(params()));

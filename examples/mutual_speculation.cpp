@@ -15,6 +15,7 @@
 
 #include "core/workloads.h"
 #include "obs/chrome_trace.h"
+#include "obs/events.h"
 
 using namespace ocsp;
 
@@ -39,11 +40,12 @@ int run_case(const char* label, bool crossing, const std::string& trace_out) {
               static_cast<unsigned long long>(stats.rollbacks),
               static_cast<unsigned long long>(stats.precedence_sent));
   std::printf("  protocol timeline:\n");
-  for (const auto& e : rt->timeline().entries()) {
-    using K = trace::TimelineEntry::Kind;
+  for (const auto& e : rt->recorder().events()) {
+    using K = obs::EventKind;
     if (e.kind == K::kFork || e.kind == K::kCommit || e.kind == K::kAbort ||
-        e.kind == K::kRollback || e.kind == K::kJoin) {
-      std::printf("    %s\n", trace::to_string(e).c_str());
+        e.kind == K::kRollback || e.kind == K::kJoin ||
+        e.kind == K::kCdgCycleDetected) {
+      std::printf("    %s\n", obs::to_string(e).c_str());
     }
   }
   if (!trace_out.empty()) {

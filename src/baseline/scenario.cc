@@ -33,8 +33,6 @@ RunResult run_scenario(const Scenario& scenario, bool speculation,
   result.stats = rt->total_stats();
   result.trace = rt->committed_trace();
   result.network = rt->network().stats();
-  result.timeline_rollbacks =
-      rt->timeline().count(trace::TimelineEntry::Kind::kRollback);
   result.metrics = rt->metrics();
   result.recorder = rt->shared_recorder();
   result.process_names = rt->process_names();

@@ -55,7 +55,6 @@ struct RunResult {
   spec::SpecStats stats;
   trace::CommittedTrace trace;
   net::NetworkStats network;
-  std::size_t timeline_rollbacks = 0;
 
   /// Merged run-wide metrics snapshot (counters, gauges, histograms).
   obs::MetricsRegistry metrics;

@@ -5,7 +5,6 @@
 
 #include "obs/merge.h"
 #include "sim/scheduler.h"
-#include "trace/timeline.h"
 #include "util/check.h"
 
 namespace ocsp::exec {
@@ -241,14 +240,6 @@ obs::MetricsRegistry ParallelRuntime::metrics() const {
   return m;
 }
 
-std::size_t ParallelRuntime::timeline_rollbacks() const {
-  std::size_t n = 0;
-  for (const auto& s : shards_) {
-    n += s->timeline().count(trace::TimelineEntry::Kind::kRollback);
-  }
-  return n;
-}
-
 net::NetworkStats ParallelRuntime::network_stats() const {
   net::NetworkStats total;
   for (const auto& s : shards_) total.merge(s->network().stats());
@@ -301,7 +292,6 @@ ParallelRunResult run_scenario_parallel(const baseline::Scenario& scenario,
   out.result.stats = rt.total_stats();
   out.result.trace = rt.committed_trace();
   out.result.network = rt.network_stats();
-  out.result.timeline_rollbacks = rt.timeline_rollbacks();
   out.result.metrics = rt.metrics();
   out.result.recorder = rt.merged_recorder();
   out.result.process_names = rt.process_names();

@@ -2,7 +2,7 @@
 //
 // The deterministic simulator (spec::Runtime) runs every process on one
 // host; this executor builds one host per shard (speculation/host.h: event
-// kernel, network, transport, injector, timeline, recorder) and runs the
+// kernel, network, transport, injector, recorder) and runs the
 // shards on real threads.  Processes live in the executor's process table
 // (speculation/process_table.h), assigned round-robin to shards, and the
 // protocol implementation is untouched: a SpeculativeProcess runs against
@@ -159,9 +159,6 @@ class ParallelRuntime final : public spec::ProcessTable {
   /// Run-wide metrics, as spec::Runtime::metrics with every shard's host
   /// counters summed, plus the executor's own gvt_windows / gvt_advances.
   obs::MetricsRegistry metrics() const;
-
-  /// Rollback entries across all shard timelines.
-  std::size_t timeline_rollbacks() const;
 
   /// Network counters summed over shards (sends/drops count on the
   /// sender's shard, deliveries on the receiver's).

@@ -1,5 +1,6 @@
 #include "obs/events.h"
 
+#include <iomanip>
 #include <sstream>
 
 namespace ocsp::obs {
@@ -117,11 +118,22 @@ const char* to_string(ControlType c) {
 
 std::string to_string(const Event& e) {
   std::ostringstream os;
-  os << "t=" << e.when << " P" << e.process << " " << to_string(e.kind);
-  if (e.guess.valid()) os << " " << e.guess.to_string();
-  if (e.reason != AbortReason::kNone) os << " reason=" << to_string(e.reason);
-  if (e.control != ControlType::kNone) os << " " << to_string(e.control);
-  if (!e.detail.empty()) os << " " << e.detail;
+  // 15 significant digits keep the time exact to the nanosecond.
+  os << "t=" << std::setprecision(15) << sim::to_micros(e.when) << "us  P"
+     << e.process;
+  if (e.peer != kNoProcess) {
+    // Receive-side events name the sender as their peer.
+    const bool received = e.kind == EventKind::kMsgDelivered ||
+                          e.kind == EventKind::kControlReceived ||
+                          e.kind == EventKind::kDuplicateSuppressed;
+    os << (received ? "<-P" : "->P") << e.peer;
+  }
+  os << "  " << to_string(e.kind);
+  if (e.guess.valid()) os << "  " << e.guess.to_string();
+  if (e.guess_from.valid()) os << " from " << e.guess_from.to_string();
+  if (e.reason != AbortReason::kNone) os << "  reason=" << to_string(e.reason);
+  if (e.control != ControlType::kNone) os << "  " << to_string(e.control);
+  if (!e.detail.empty()) os << "  " << e.detail;
   return os.str();
 }
 

@@ -2,10 +2,10 @@
 //
 // Every protocol-relevant occurrence — interval lifecycle, guess lifecycle,
 // control traffic, CDG mutations, external-output buffering, message
-// sends/deliveries — is recorded as a structured Event instead of a
-// free-form timeline label.  The taxonomy is deliberately flat: one struct
-// with kind-specific fields, so the recorder stays a plain vector and
-// exporters can pattern-match on `kind` without a visitor hierarchy.
+// sends/deliveries — is recorded as a structured Event.  The taxonomy is
+// deliberately flat: one struct with kind-specific fields, so the recorder
+// stays a plain vector and exporters can pattern-match on `kind` without a
+// visitor hierarchy.
 //
 // The obs layer depends only on util/sim (ids, virtual time); guesses are
 // mirrored as GuessRef rather than spec::GuessId so the speculation layer
@@ -118,6 +118,10 @@ struct Event {
 const char* to_string(EventKind k);
 const char* to_string(AbortReason r);
 const char* to_string(ControlType c);
+/// One timeline line: "t=<us>us  P<process>[->P<peer>]  <kind>" followed
+/// by the guess (and "from" its source or cause), abort reason, control
+/// type and detail that are set.  Receive-side events draw the arrow from
+/// the sender: "P1<-P0".
 std::string to_string(const Event& e);
 
 }  // namespace ocsp::obs

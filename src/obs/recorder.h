@@ -1,12 +1,14 @@
 // RunRecorder: the structured event sink of a run.
 //
-// One recorder per Runtime; every process, the network, and the scheduler
+// One recorder per host; every process, the network, and the transport
 // funnel their Events here.  Events are stored in recording order (which,
 // on the deterministic kernel, is a total order consistent with virtual
-// time) and counted per kind so reconciliation against SpecStats is O(1).
+// time).  The recorder keeps no tallies of its own: the run's counters
+// (SpecStats, MetricsRegistry) are bumped by the recording funnel before an
+// event reaches it, so they survive set_enabled(false).
 #pragma once
 
-#include <array>
+#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <utility>
@@ -19,7 +21,7 @@ namespace ocsp::obs {
 class RunRecorder {
  public:
   /// Recording is on by default; disabling makes record() a cheap no-op
-  /// (counters included) for perf-sensitive sweeps.
+  /// for perf-sensitive sweeps.
   void set_enabled(bool enabled) { enabled_ = enabled; }
   bool enabled() const { return enabled_; }
 
@@ -34,33 +36,29 @@ class RunRecorder {
   void record(Event e) {
     if (!enabled_) return;
     if (wall_clock_ && e.wall_ns < 0) e.wall_ns = wall_clock_();
-    ++counts_[static_cast<std::size_t>(e.kind)];
-    if (e.kind == EventKind::kAbort) {
-      ++abort_counts_[static_cast<std::size_t>(e.reason)];
-    }
     events_.push_back(std::move(e));
   }
 
   const std::vector<Event>& events() const { return events_; }
+
+  /// Stored events of one kind (a scan; for tests and reports).
   std::size_t count(EventKind k) const {
-    return counts_[static_cast<std::size_t>(k)];
+    return std::count_if(events_.begin(), events_.end(),
+                         [k](const Event& e) { return e.kind == k; });
   }
+  /// Stored kAbort events with reason `r`.
   std::size_t abort_count(AbortReason r) const {
-    return abort_counts_[static_cast<std::size_t>(r)];
+    return std::count_if(events_.begin(), events_.end(), [r](const Event& e) {
+      return e.kind == EventKind::kAbort && e.reason == r;
+    });
   }
 
-  void clear() {
-    events_.clear();
-    counts_.fill(0);
-    abort_counts_.fill(0);
-  }
+  void clear() { events_.clear(); }
 
  private:
   bool enabled_ = true;
   std::function<std::int64_t()> wall_clock_;
   std::vector<Event> events_;
-  std::array<std::size_t, kEventKindCount> counts_{};
-  std::array<std::size_t, kAbortReasonCount> abort_counts_{};
 };
 
 }  // namespace ocsp::obs

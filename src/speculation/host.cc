@@ -72,6 +72,7 @@ Host::Host(util::Rng net_rng, const net::LinkConfig& default_link,
 }
 
 void Host::record_msg_event(obs::EventKind kind, const net::Envelope& env) {
+  if (!recorder_->enabled()) return;  // skip describing the payload
   recorder_->record(make_msg_event(kind, env, scheduler_.now()));
 }
 

@@ -1,10 +1,10 @@
 // Host: one event kernel and the wire its processes share.
 //
 // A host owns the discrete-event scheduler, the simulated network, the
-// reliable transport bound to that network, the fault injector, the
-// rollback timeline, and the run recorder, and wires the observers between
-// them: every send, delivery, injected fault, retransmission, and
-// suppressed duplicate is recorded here and nowhere else.  spec::Runtime is
+// reliable transport bound to that network, the fault injector, and the
+// run recorder, and wires the observers between them: every send,
+// delivery, injected fault, retransmission, and suppressed duplicate is
+// recorded here and nowhere else.  spec::Runtime is
 // one host.  Each shard of exec::ParallelRuntime is one host in per-link
 // mode, whose network routes envelopes for other shards' processes to the
 // executor (net::Network::set_router).  A SpeculativeProcess runs against
@@ -21,7 +21,6 @@
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "sim/scheduler.h"
-#include "trace/timeline.h"
 #include "util/rng.h"
 
 namespace ocsp::spec {
@@ -41,7 +40,6 @@ class Host {
   sim::Scheduler& scheduler() { return scheduler_; }
   net::Network& network() { return network_; }
   net::ReliableTransport& transport() { return transport_; }
-  trace::Timeline& timeline() { return timeline_; }
 
   /// Structured event sink shared by the processes and the wire.
   obs::RunRecorder& recorder() { return *recorder_; }
@@ -72,7 +70,6 @@ class Host {
   net::Network network_;
   net::ReliableTransport transport_;
   std::unique_ptr<fault::Injector> injector_;
-  trace::Timeline timeline_;
   std::shared_ptr<obs::RunRecorder> recorder_;
   std::function<void(sim::Time)> compute_hook_;
 };

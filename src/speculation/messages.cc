@@ -76,8 +76,8 @@ obs::Event make_msg_event(obs::EventKind kind, const net::Envelope& env,
   ev.a = env.payload->wire_size();
   // A send observed with delivered_at == 0 was dropped by the link.
   ev.b = sent && env.delivered_at == 0 ? 1 : 0;
-  if (auto ctl =
-          std::dynamic_pointer_cast<const ControlMessage>(env.payload)) {
+  const auto ctl = std::dynamic_pointer_cast<const ControlMessage>(env.payload);
+  if (ctl) {
     switch (ctl->control) {
       case ControlKind::kCommit:
         ev.control = obs::ControlType::kCommit;
@@ -92,7 +92,9 @@ obs::Event make_msg_event(obs::EventKind kind, const net::Envelope& env,
     ev.guess = obs::GuessRef{ctl->subject.owner, ctl->subject.incarnation,
                              ctl->subject.index};
   }
-  ev.detail = env.payload->kind();
+  // A data send carries its full description (operation, arguments, guard
+  // tag), which the figure timelines print; everything else its kind.
+  ev.detail = sent && !ctl ? env.payload->describe() : env.payload->kind();
   return ev;
 }
 

@@ -51,7 +51,8 @@ class ControlMessage final : public net::Message {
 /// Structured kMsgSent / kMsgDelivered event for one envelope, exactly as
 /// every executor must record it (the shards=1 bit-for-bit oracle compares
 /// these field by field): process/peer by direction, a = wire size, b = 1
-/// on a dropped send, control type and guess ref from control payloads.
+/// on a dropped send, control type and guess ref from control payloads,
+/// detail = the payload's describe() on a non-control send, else its kind().
 obs::Event make_msg_event(obs::EventKind kind, const net::Envelope& env,
                           sim::Time now);
 

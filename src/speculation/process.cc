@@ -42,9 +42,64 @@ void SpeculativeProcess::start() {
   schedule_step(0);
 }
 
-trace::Timeline& SpeculativeProcess::timeline() { return host_.timeline(); }
+namespace {
 
-obs::RunRecorder& SpeculativeProcess::recorder() { return host_.recorder(); }
+/// The SpecStats counter one event of this kind adds to (aborts by their
+/// reason), or null.
+std::uint64_t SpecStats::*counted_field(const obs::Event& ev) {
+  using K = obs::EventKind;
+  using R = obs::AbortReason;
+  switch (ev.kind) {
+    case K::kFork: return &SpecStats::forks;
+    case K::kSafeForkElided: return &SpecStats::safe_forks;
+    case K::kJoin: return &SpecStats::joins;
+    case K::kCommit: return &SpecStats::commits;
+    case K::kCommuteCommit: return &SpecStats::commute_commits;
+    case K::kRollback: return &SpecStats::rollbacks;
+    case K::kCheckpointTaken: return &SpecStats::checkpoints;
+    case K::kExternalBuffered: return &SpecStats::externals_buffered;
+    case K::kExternalReleased: return &SpecStats::externals_released;
+    case K::kExternalDiscarded: return &SpecStats::externals_discarded;
+    case K::kCrash: return &SpecStats::crashes;
+    case K::kRecovery: return &SpecStats::crash_recoveries;
+    case K::kGovernorDemote: return &SpecStats::governor_demotions;
+    case K::kGovernorPromote: return &SpecStats::governor_promotions;
+    case K::kAbort:
+      switch (ev.reason) {
+        case R::kValueFault: return &SpecStats::aborts_value_fault;
+        case R::kTimeFault: return &SpecStats::aborts_time_fault;
+        case R::kTimeout: return &SpecStats::aborts_timeout;
+        case R::kCascade: return &SpecStats::aborts_cascade;
+        case R::kCrash: return &SpecStats::aborts_crash;
+        case R::kNone: return nullptr;
+      }
+      return nullptr;
+    default: return nullptr;
+  }
+}
+
+/// The guess metric one event of this kind adds to, or null.
+const char* counted_metric(obs::EventKind k) {
+  switch (k) {
+    case obs::EventKind::kGuessMade: return "guesses_made";
+    case obs::EventKind::kGuessVerified: return "guesses_verified";
+    case obs::EventKind::kGuessFailed: return "guesses_failed";
+    default: return nullptr;
+  }
+}
+
+}  // namespace
+
+void SpeculativeProcess::record(obs::Event ev) {
+  if (std::uint64_t SpecStats::*field = counted_field(ev)) ++(stats_.*field);
+  if (ev.kind == obs::EventKind::kCommuteCommit) {
+    stats_.commute_forgiven_vars += ev.a;
+  }
+  if (const char* metric = counted_metric(ev.kind)) {
+    ++live_metrics_.counter(metric);
+  }
+  host_.recorder().record(std::move(ev));
+}
 
 obs::GuessRef SpeculativeProcess::guess_ref(const GuessId& g) {
   return obs::GuessRef{g.owner, g.incarnation, g.index};
@@ -81,7 +136,7 @@ void SpeculativeProcess::record_abort(const GuessId& g,
   ev.reason = reason;
   ev.detail = detail;
   if (cause.valid() && !(cause == g)) ev.guess_from = guess_ref(cause);
-  recorder().record(std::move(ev));
+  record(std::move(ev));
   // Soundness oracle: a SAFE-classified site must never raise a value or
   // time fault (timeouts and cascades are liveness/collateral, not
   // interference at the site itself).
@@ -108,7 +163,7 @@ void SpeculativeProcess::record_work_discarded(const ThreadCtx& t,
     ev.detail = t.own_site;
   }
   if (cause.valid()) ev.guess_from = guess_ref(cause);
-  recorder().record(std::move(ev));
+  record(std::move(ev));
 }
 
 obs::MetricsRegistry SpeculativeProcess::metrics_view() const {
@@ -241,7 +296,6 @@ bool SpeculativeProcess::handle_effect(ThreadCtx& t, csp::Effect effect) {
       ev.process = id_;
       ev.data = effect.value;
       if (!flush_ready(t)) {
-        ++stats_.externals_buffered;
         const std::size_t pos = t.event_log.size();
         external_buffered_at_[{t.index, pos}] = host_.scheduler().now();
         obs::Event oe = make_event(obs::EventKind::kExternalBuffered);
@@ -249,7 +303,7 @@ bool SpeculativeProcess::handle_effect(ThreadCtx& t, csp::Effect effect) {
         oe.interval = t.interval;
         oe.a = pos;
         oe.detail = effect.value.to_string();
-        recorder().record(std::move(oe));
+        record(std::move(oe));
       }
       record_event(t, std::move(ev));
       return true;
@@ -274,7 +328,7 @@ bool SpeculativeProcess::handle_effect(ThreadCtx& t, csp::Effect effect) {
               ev.guess = guess_ref(th.own_guess);
               ev.detail = th.own_site;
             }
-            recorder().record(std::move(ev));
+            record(std::move(ev));
             th.machine.resume();
             th.phase = ThreadCtx::Phase::kRunning;
             schedule_step(idx);
@@ -294,7 +348,7 @@ bool SpeculativeProcess::handle_effect(ThreadCtx& t, csp::Effect effect) {
         ev.thread = t.index;
         ev.interval = t.interval;
         ev.a = t.guard.size();
-        recorder().record(std::move(ev));
+        record(std::move(ev));
         after_guard_change();
       }
       return false;
@@ -340,8 +394,6 @@ void SpeculativeProcess::send_data(ThreadCtx& t, DataKind kind,
     }
   }
 
-  timeline().record({trace::TimelineEntry::Kind::kMsgSend,
-                     host_.scheduler().now(), id_, dst, msg->describe()});
   // Data plane goes through the reliable transport (a plain network send
   // when it is disabled); the control plane keeps its own liveness story.
   host_.transport().send(id_, dst, std::move(msg));
@@ -378,7 +430,6 @@ void SpeculativeProcess::flush_events(ThreadCtx& t) {
     if (e.kind == trace::ObservableEvent::Kind::kExternalOutput) {
       // Flushing commits the event; external outputs are released to the
       // outside world at this moment (section 3.1's buffering rule).
-      ++stats_.externals_released;
       obs::Event oe = make_event(obs::EventKind::kExternalReleased);
       oe.thread = t.index;
       oe.a = t.flushed_count;
@@ -391,10 +442,7 @@ void SpeculativeProcess::flush_events(ThreadCtx& t) {
         external_buffered_at_.erase(buffered);
       }
       oe.detail = e.data.to_string();
-      recorder().record(std::move(oe));
-      timeline().record({trace::TimelineEntry::Kind::kExternalRelease,
-                         host_.scheduler().now(), id_, kNoProcess,
-                         e.data.to_string()});
+      record(std::move(oe));
     }
     ++t.flushed_count;
   }
@@ -422,7 +470,7 @@ void SpeculativeProcess::check_completion() {
       obs::Event ev = make_event(obs::EventKind::kThreadResolved);
       ev.thread = t.index;
       ev.interval = t.interval;
-      recorder().record(std::move(ev));
+      record(std::move(ev));
     }
   }
   if (!program_finished_) return;
@@ -435,8 +483,7 @@ void SpeculativeProcess::check_completion() {
   }
   completed_ = true;
   completion_time_ = host_.scheduler().now();
-  recorder().record(make_event(obs::EventKind::kProcessCompleted));
-  timeline().note(completion_time_, id_, "process completed");
+  record(make_event(obs::EventKind::kProcessCompleted));
 }
 
 void SpeculativeProcess::apply_state_strategy(csp::Machine& copy) {
@@ -459,7 +506,6 @@ std::uint64_t SpeculativeProcess::restore_cost_bytes(
 }
 
 void SpeculativeProcess::take_checkpoint(const ThreadCtx& t) {
-  ++stats_.checkpoints;
   ThreadCtx snapshot = t;
   snapshot.checkpointed_at = host_.scheduler().now();
   const std::uint64_t payload = snapshot.machine.state_bytes();
@@ -471,7 +517,7 @@ void SpeculativeProcess::take_checkpoint(const ThreadCtx& t) {
     const bool deep = config_.state == StateStrategy::kDeepCopy;
     ev.a = deep ? payload : sizeof(csp::Env);
     ev.b = deep ? 0 : payload;
-    recorder().record(std::move(ev));
+    record(std::move(ev));
   }
   checkpoints_.insert_or_assign(current_index(t), std::move(snapshot));
   gc_stale_ = true;

@@ -35,7 +35,6 @@
 #include "net/reliable.h"
 #include "obs/events.h"
 #include "obs/metrics.h"
-#include "obs/recorder.h"
 #include "sim/scheduler.h"
 #include "speculation/cdg.h"
 #include "speculation/config.h"
@@ -48,7 +47,6 @@
 #include "speculation/rollback_index.h"
 #include "speculation/stats.h"
 #include "trace/events.h"
-#include "trace/timeline.h"
 #include "util/flat_set.h"
 #include "util/rng.h"
 
@@ -298,7 +296,7 @@ class SpeculativeProcess {
   void on_precedence_msg(const GuessId& subject, const GuardSet& guard);
   void commit_guess_local(const GuessId& g);
   void abort_guess_local(const GuessId& g);
-  void abort_own_guess(const GuessId& g, const char* reason);
+  void abort_own_guess(const GuessId& g);
   void after_guard_change();
   /// Roll back every thread depending on a history-aborted guess to a
   /// fixpoint (the body of abort_guess_local, also run after incarnation
@@ -392,15 +390,21 @@ class SpeculativeProcess {
   bool flush_ready(const ThreadCtx& t) const;
   void check_completion();
   ProcessId resolve(const std::string& name) const;
-  trace::Timeline& timeline();
 
   // ---- observability -------------------------------------------------------
-  obs::RunRecorder& recorder();
+  /// The one path from this process to the host recorder: bump the counter
+  /// the event's kind stands for (SpecStats forks, joins, commits,
+  /// commute_commits and commute_forgiven_vars, rollbacks, checkpoints,
+  /// safe_forks, aborts_* by reason, externals_*, crashes,
+  /// crash_recoveries, governor_demotions/promotions; the guesses_*
+  /// metrics), then hand the event on.  Counting does not depend on the
+  /// recorder storing events.
+  void record(obs::Event ev);
   /// Event pre-filled with kind, virtual time, process id, incarnation.
   obs::Event make_event(obs::EventKind kind) const;
   static obs::GuessRef guess_ref(const GuessId& g);
   static obs::ControlType obs_control(ControlKind kind);
-  /// Record the kAbort event adjacent to the ++stats_.aborts_* increment.
+  /// Record a kAbort event (which counts the abort by its reason).
   /// `cause` (when valid) names the aborted guess that triggered this one —
   /// the cascade edge abort attribution walks back to the original
   /// mis-guess; root aborts (value/time fault, timeout) leave it invalid.
@@ -434,8 +438,8 @@ class SpeculativeProcess {
   PredictorState predictors_;
   SpecStats stats_;
 
-  /// Histograms and guess counters that need per-event resolution; the
-  /// SpecStats counters are joined in by metrics_view().
+  /// Histograms and the guesses_* counters; the SpecStats counters are
+  /// joined in by metrics_view().
   obs::MetricsRegistry live_metrics_;
   /// (thread index, event-log position) -> buffering time, feeding the
   /// external-output dwell histogram at release.

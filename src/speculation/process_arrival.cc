@@ -32,7 +32,7 @@ void SpeculativeProcess::on_message(const net::Envelope& env) {
       ev.guess = guess_ref(ctl->subject);
       ev.control = obs_control(ctl->control);
       ev.msg_id = env.id;
-      recorder().record(std::move(ev));
+      record(std::move(ev));
     }
     switch (ctl->control) {
       case ControlKind::kCommit:
@@ -82,7 +82,7 @@ void SpeculativeProcess::forward_control(ControlKind kind,
     ev.control = obs_control(kind);
     ev.a = fanout;
     ev.detail = "forward";
-    recorder().record(std::move(ev));
+    record(std::move(ev));
     obs::control_fanout_hist(live_metrics_).add(static_cast<double>(fanout));
   }
 }
@@ -235,10 +235,9 @@ void SpeculativeProcess::deliver(const net::Envelope& env) {
     if (own_in_tag.valid() && own_in_tag.incarnation == incarnation_ &&
         own_in_tag.index > tidx &&
         history_.status(own_in_tag) == GuessStatus::kUnknown) {
-      ++stats_.aborts_time_fault;
       record_abort(own_in_tag, obs::AbortReason::kTimeFault,
                    "future-thread-return");
-      abort_own_guess(own_in_tag, "future-thread-return");
+      abort_own_guess(own_in_tag);
       after_guard_change();
       ++stats_.orphans_discarded;
       return;  // consumed: it now depends on an aborted guess
@@ -343,8 +342,6 @@ void SpeculativeProcess::accept_message(ThreadCtx& t,
 
   input_log_.push_back(LoggedInput{current_index(t), rollback_point, env});
   gc_stale_ = true;
-  timeline().record({trace::TimelineEntry::Kind::kMsgDeliver,
-                     env.delivered_at, id_, env.src, msg->describe()});
 }
 
 }  // namespace ocsp::spec

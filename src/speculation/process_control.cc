@@ -49,7 +49,7 @@ void SpeculativeProcess::distribute_control(ControlKind kind,
     ev.guess = guess_ref(subject);
     ev.control = obs_control(kind);
     ev.a = fanout;
-    recorder().record(std::move(ev));
+    record(std::move(ev));
     obs::control_fanout_hist(live_metrics_).add(static_cast<double>(fanout));
   }
   // Control goes straight onto the network, bypassing the reliable
@@ -116,7 +116,6 @@ void SpeculativeProcess::commit_guess_local(const GuessId& g) {
 
 void SpeculativeProcess::on_abort_msg(const GuessId& g) {
   if (history_.status(g) == GuessStatus::kAborted) return;
-  ++stats_.aborts_cascade;
   record_abort(g, obs::AbortReason::kCascade, "remote-abort");
   abort_guess_local(g);
 }
@@ -130,10 +129,6 @@ void SpeculativeProcess::abort_guess_local(const GuessId& g) {
   // The abort of x_{i,n} starts incarnation i+1 at index n: every guess
   // x_{i,m} with m >= n is implicitly aborted (4.1.2).
   history_.observe_incarnation(g.owner, g.incarnation + 1, g.index);
-
-  timeline().record({trace::TimelineEntry::Kind::kAbort,
-                     host_.scheduler().now(), id_, kNoProcess,
-                     g.to_string()});
 
   rollback_aborted_dependencies();
   // Scrub CDG nodes of the aborted guess from untouched threads.
@@ -194,15 +189,11 @@ void SpeculativeProcess::rollback_aborted_dependencies() {
   }
 }
 
-void SpeculativeProcess::abort_own_guess(const GuessId& g,
-                                         const char* reason) {
+void SpeculativeProcess::abort_own_guess(const GuessId& g) {
   if (history_.status(g) != GuessStatus::kUnknown) return;
   OCSP_CHECK(g.owner == id_);
   history_.set_status(g, GuessStatus::kAborted);
   history_.observe_incarnation(id_, g.incarnation + 1, g.index);
-  timeline().record({trace::TimelineEntry::Kind::kAbort,
-                     host_.scheduler().now(), id_, kNoProcess,
-                     g.to_string() + std::string(" (") + reason + ")"});
 
   // Track consecutive failures of the fork site for the liveness limit L.
   auto site_of = [this](std::uint32_t index) -> std::string {
@@ -240,7 +231,6 @@ void SpeculativeProcess::abort_own_guess(const GuessId& g,
     if (history_.status(c) == GuessStatus::kUnknown) {
       history_.set_status(c, GuessStatus::kAborted);
       history_.observe_incarnation(id_, c.incarnation + 1, c.index);
-      ++stats_.aborts_cascade;
       ++cascaded;
       record_abort(c, obs::AbortReason::kCascade, "killed-with-thread", g);
       distribute_control(ControlKind::kAbort, c, {});
@@ -286,7 +276,7 @@ void SpeculativeProcess::kill_thread(std::uint32_t index,
     ev.thread = t.index;
     ev.interval = t.interval;
     ev.detail = "killed";
-    recorder().record(std::move(ev));
+    record(std::move(ev));
   }
   if (t.has_own_guess) own_aborted.push_back(t.own_guess);
   if (t.has_pending_join && t.join_guess.valid()) {
@@ -303,12 +293,11 @@ void SpeculativeProcess::kill_thread(std::uint32_t index,
   }
   for (std::size_t i = t.flushed_count; i < t.event_log.size(); ++i) {
     if (t.event_log[i].kind == trace::ObservableEvent::Kind::kExternalOutput) {
-      ++stats_.externals_discarded;
       obs::Event ev = make_event(obs::EventKind::kExternalDiscarded);
       ev.thread = t.index;
       ev.a = i;
       ev.detail = t.event_log[i].data.to_string();
-      recorder().record(std::move(ev));
+      record(std::move(ev));
       external_buffered_at_.erase({t.index, i});
     }
   }
@@ -317,11 +306,7 @@ void SpeculativeProcess::kill_thread(std::uint32_t index,
 
 void SpeculativeProcess::rollback_to(const StateIndex& target,
                                      bool kill_target_thread) {
-  ++stats_.rollbacks;
   gc_stale_ = true;  // checkpoints, replay metadata and inputs are purged
-  timeline().record({trace::TimelineEntry::Kind::kRollback,
-                     host_.scheduler().now(), id_, kNoProcess,
-                     target.to_string()});
 
   // Rollback distance: how many intervals the target thread is wound back.
   std::uint32_t pre_interval = target.interval;
@@ -404,7 +389,6 @@ void SpeculativeProcess::rollback_to(const StateIndex& target,
     if (history_.status(c) == GuessStatus::kUnknown) {
       history_.set_status(c, GuessStatus::kAborted);
       history_.observe_incarnation(id_, c.incarnation + 1, c.index);
-      ++stats_.aborts_cascade;
       ++cascaded;
       record_abort(c, obs::AbortReason::kCascade, "killed-by-rollback",
                    rollback_cause_);
@@ -454,7 +438,7 @@ void SpeculativeProcess::rollback_to(const StateIndex& target,
     ev.a = doomed.size();
     ev.b = requeued.size();
     ev.detail = target.to_string();
-    recorder().record(std::move(ev));
+    record(std::move(ev));
     obs::rollback_distance_hist(live_metrics_)
         .add(static_cast<double>(pre_interval - target.interval));
   }
@@ -660,7 +644,6 @@ void SpeculativeProcess::restore_thread(const StateIndex& target) {
       history_.set_status(restored.join_guess, GuessStatus::kAborted);
       history_.observe_incarnation(id_, restored.join_guess.incarnation + 1,
                                    restored.join_guess.index);
-      ++stats_.aborts_cascade;
       record_abort(restored.join_guess, obs::AbortReason::kCascade,
                    "zombie-checkpoint", rollback_cause_);
       distribute_control(ControlKind::kAbort, restored.join_guess, {});
@@ -732,7 +715,7 @@ void SpeculativeProcess::on_precedence_msg(const GuessId& subject,
         ev.thread = idx;
         ev.guess = guess_ref(subject);
         ev.guess_from = guess_ref(h);
-        recorder().record(std::move(ev));
+        record(std::move(ev));
       }
       if (!cycle.empty()) {
         obs::Event ev = make_event(obs::EventKind::kCdgCycleDetected);
@@ -740,7 +723,7 @@ void SpeculativeProcess::on_precedence_msg(const GuessId& subject,
         ev.guess = guess_ref(subject);
         ev.guess_from = guess_ref(h);
         ev.a = cycle.size();
-        recorder().record(std::move(ev));
+        record(std::move(ev));
       }
       for (const auto& c : cycle) {
         if (c.owner == id_ &&
@@ -753,9 +736,8 @@ void SpeculativeProcess::on_precedence_msg(const GuessId& subject,
     }
   }
   for (const auto& c : own_to_abort) {
-    ++stats_.aborts_time_fault;
     record_abort(c, obs::AbortReason::kTimeFault, "precedence-cycle");
-    abort_own_guess(c, "precedence-cycle");
+    abort_own_guess(c);
   }
 }
 

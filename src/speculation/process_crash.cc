@@ -22,9 +22,7 @@ namespace ocsp::spec {
 void SpeculativeProcess::crash() {
   if (crashed_) return;  // overlapping crash windows: first one wins
   crashed_ = true;
-  ++stats_.crashes;
-  recorder().record(make_event(obs::EventKind::kCrash));
-  timeline().note(host_.scheduler().now(), id_, "crash");
+  record(make_event(obs::EventKind::kCrash));
   OCSP_DLOG << name_ << ": crashed at t=" << host_.scheduler().now();
 }
 
@@ -48,19 +46,16 @@ void SpeculativeProcess::restart() {
     }
     if (victim == nullptr) break;
     const GuessId g = victim->own_guess;
-    ++stats_.aborts_crash;
     record_abort(g, obs::AbortReason::kCrash, "crash-recovery");
-    abort_own_guess(g, "crash-recovery");
+    abort_own_guess(g);
     ++root_aborts;
   }
 
-  ++stats_.crash_recoveries;
   {
     obs::Event ev = make_event(obs::EventKind::kRecovery);
     ev.a = root_aborts;
-    recorder().record(std::move(ev));
+    record(std::move(ev));
   }
-  timeline().note(host_.scheduler().now(), id_, "restart");
   OCSP_DLOG << name_ << ": restarted at t=" << host_.scheduler().now()
             << " (aborted " << root_aborts << " own guesses)";
 
@@ -111,18 +106,16 @@ void SpeculativeProcess::governor_outcome(const std::string& site,
       s.samples >= static_cast<std::uint64_t>(config_.governor_min_samples) &&
       s.ewma >= config_.governor_demote_threshold) {
     s.demoted = true;
-    ++stats_.governor_demotions;
     obs::Event ev = make_event(obs::EventKind::kGovernorDemote);
     ev.detail = site;
-    recorder().record(std::move(ev));
+    record(std::move(ev));
     OCSP_DLOG << name_ << ": governor demoted site " << site
               << " (ewma=" << s.ewma << ")";
   } else if (s.demoted && s.ewma <= config_.governor_promote_threshold) {
     s.demoted = false;
-    ++stats_.governor_promotions;
     obs::Event ev = make_event(obs::EventKind::kGovernorPromote);
     ev.detail = site;
-    recorder().record(std::move(ev));
+    record(std::move(ev));
     OCSP_DLOG << name_ << ": governor promoted site " << site
               << " (ewma=" << s.ewma << ")";
   }

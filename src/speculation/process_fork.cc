@@ -33,7 +33,6 @@ void SpeculativeProcess::cancel_fork_timer(const GuessId& guess) {
 }
 
 void SpeculativeProcess::do_fork(ThreadCtx& t, const csp::ForkStmt& f) {
-  ++stats_.forks;
   // The governor's circuit breaker sits beside the liveness limit L: L is
   // monotone per site (reset on commit), the breaker is an EWMA with
   // hysteresis so a storming site comes back once the storm passes.
@@ -108,7 +107,6 @@ void SpeculativeProcess::do_fork(ThreadCtx& t, const csp::ForkStmt& f) {
   }
 
   if (safe_fast_path) {
-    ++stats_.safe_forks;
     const std::uint32_t new_index = ++max_thread_;
     t.join_safe = true;
     t.join_guess = GuessId{};  // no guess: nothing to verify at the join
@@ -125,21 +123,18 @@ void SpeculativeProcess::do_fork(ThreadCtx& t, const csp::ForkStmt& f) {
     r.has_own_guess = false;
     r.created_at = current_index(t);
 
-    timeline().record({trace::TimelineEntry::Kind::kFork,
-                       host_.scheduler().now(), id_, kNoProcess,
-                       "safe site=" + f.site});
     {
       obs::Event fe = make_event(obs::EventKind::kFork);
       fe.thread = t.index;
       fe.interval = t.interval;
       fe.a = 2;  // SAFE fast path
       fe.detail = f.site;
-      recorder().record(std::move(fe));
+      record(std::move(fe));
       obs::Event ie = make_event(obs::EventKind::kIntervalBegin);
       ie.thread = new_index;
       ie.a = 2;
       ie.detail = f.site;
-      recorder().record(std::move(ie));
+      record(std::move(ie));
       // The scorecard's zero-cost entry: state bytes a speculative fork
       // would have snapshotted here, elided along with the guess/guard/
       // verification machinery.
@@ -148,7 +143,7 @@ void SpeculativeProcess::do_fork(ThreadCtx& t, const csp::ForkStmt& f) {
       se.interval = t.interval;
       se.a = r.machine.state_bytes();
       se.detail = f.site;
-      recorder().record(std::move(se));
+      record(std::move(se));
     }
 
     insert_thread(std::move(r));
@@ -177,19 +172,16 @@ void SpeculativeProcess::do_fork(ThreadCtx& t, const csp::ForkStmt& f) {
     max_thread_ = t.join_right_index;
     t.join_guess = GuessId{};  // invalid: sequential join
     t.join_right_initial = std::move(right_machine);
-    timeline().record({trace::TimelineEntry::Kind::kFork,
-                       host_.scheduler().now(), id_, kNoProcess,
-                       "sequential site=" + f.site});
     {
       obs::Event fe = make_event(obs::EventKind::kFork);
       fe.thread = t.index;
       fe.interval = t.interval;
       fe.detail = f.site;
-      recorder().record(std::move(fe));
+      record(std::move(fe));
       obs::Event ie = make_event(obs::EventKind::kIntervalBegin);
       ie.thread = t.join_right_index;
       ie.detail = f.site;
-      recorder().record(std::move(ie));
+      record(std::move(ie));
     }
     ++t.interval;  // give the post-fork state its own index
     if (config_.rollback == RollbackStrategy::kReplayFromLog) {
@@ -236,9 +228,6 @@ void SpeculativeProcess::do_fork(ThreadCtx& t, const csp::ForkStmt& f) {
 
   history_.set_status(guess, GuessStatus::kUnknown);
 
-  timeline().record({trace::TimelineEntry::Kind::kFork,
-                     host_.scheduler().now(), id_, kNoProcess,
-                     guess.to_string() + " site=" + f.site});
   {
     obs::Event fe = make_event(obs::EventKind::kFork);
     fe.thread = t.index;
@@ -246,20 +235,19 @@ void SpeculativeProcess::do_fork(ThreadCtx& t, const csp::ForkStmt& f) {
     fe.guess = guess_ref(guess);
     fe.a = 1;  // speculative
     fe.detail = f.site;
-    recorder().record(std::move(fe));
+    record(std::move(fe));
     obs::Event ie = make_event(obs::EventKind::kIntervalBegin);
     ie.thread = new_index;
     ie.guess = guess_ref(guess);
     ie.a = 1;
     ie.detail = f.site;
-    recorder().record(std::move(ie));
+    record(std::move(ie));
     obs::Event ge = make_event(obs::EventKind::kGuessMade);
     ge.thread = new_index;
     ge.guess = guess_ref(guess);
     ge.a = f.passed.size();
     ge.detail = f.site;
-    recorder().record(std::move(ge));
-    ++live_metrics_.counter("guesses_made");
+    record(std::move(ge));
   }
 
   ThreadCtx& right = insert_thread(std::move(r));
@@ -291,21 +279,15 @@ void SpeculativeProcess::do_join(ThreadCtx& left) {
 }
 
 void SpeculativeProcess::do_join_inner(ThreadCtx& left) {
-  ++stats_.joins;
   const bool safe_join = left.join_safe;
   const bool sequential = !safe_join && !left.join_guess.valid();
-  timeline().record({trace::TimelineEntry::Kind::kJoin,
-                     host_.scheduler().now(), id_, kNoProcess,
-                     safe_join    ? "safe site=" + left.join_site
-                     : sequential ? "sequential"
-                                  : left.join_guess.to_string()});
   {
     obs::Event je = make_event(obs::EventKind::kJoin);
     je.thread = left.index;
     je.interval = left.interval;
     if (!sequential && !safe_join) je.guess = guess_ref(left.join_guess);
     je.detail = sequential ? "sequential" : left.join_site;
-    recorder().record(std::move(je));
+    record(std::move(je));
   }
 
   if (safe_join) {
@@ -366,9 +348,7 @@ void SpeculativeProcess::do_join_inner(ThreadCtx& left) {
     ge.thread = left.index;
     ge.guess = guess_ref(left.join_guess);
     ge.detail = left.join_site;
-    recorder().record(std::move(ge));
-    ++live_metrics_.counter(raw_fault ? "guesses_failed"
-                                      : "guesses_verified");
+    record(std::move(ge));
     left.join_forgiven = value_fault ? 0 : forgiven;
   }
 
@@ -385,9 +365,8 @@ void SpeculativeProcess::do_join_inner(ThreadCtx& left) {
   // itself back (time fault: it acquired its own guess through a tainted
   // return, Figures 4/5), in which case it resumes S1 and will re-reach the
   // join; only if it is still terminated at the join do we re-execute now.
-  auto abort_and_maybe_reexecute = [this, left_index, guess](
-                                       const char* reason) {
-    abort_own_guess(guess, reason);
+  auto abort_and_maybe_reexecute = [this, left_index, guess]() {
+    abort_own_guess(guess);
     auto it = threads_.find(left_index);
     if (it == threads_.end()) return;
     ThreadCtx& l = it->second;
@@ -398,18 +377,16 @@ void SpeculativeProcess::do_join_inner(ThreadCtx& left) {
   };
 
   if (value_fault) {
-    ++stats_.aborts_value_fault;
     record_abort(guess, obs::AbortReason::kValueFault, "value-fault");
-    abort_and_maybe_reexecute("value-fault");
+    abort_and_maybe_reexecute();
     return;
   }
 
   // Time-fault self check: if our own guess is in the guard set at the
   // termination point, S1 causally follows S2 (Figure 4).
   if (left.guard.covers(guess)) {
-    ++stats_.aborts_time_fault;
     record_abort(guess, obs::AbortReason::kTimeFault, "time-fault");
-    abort_and_maybe_reexecute("time-fault");
+    abort_and_maybe_reexecute();
     return;
   }
 
@@ -445,35 +422,28 @@ void SpeculativeProcess::finalize_join_commit(ThreadCtx& left) {
   const GuessId guess = left.join_guess;
   OCSP_CHECK(guess.valid());
   cancel_fork_timer(guess);
-  ++stats_.commits;
   {
     obs::Event ce = make_event(obs::EventKind::kCommit);
     ce.thread = left.index;
     ce.guess = guess_ref(guess);
     ce.detail = left.join_site;
-    recorder().record(std::move(ce));
+    record(std::move(ce));
   }
   if (left.join_forgiven != 0) {
     // The verifier found mismatched guesses but every one was forgiven by
     // its VerifyMode: this commit exists only because of the relaxation.
-    ++stats_.commute_commits;
-    stats_.commute_forgiven_vars += left.join_forgiven;
     obs::Event ce = make_event(obs::EventKind::kCommuteCommit);
     ce.thread = left.index;
     ce.guess = guess_ref(guess);
     ce.a = left.join_forgiven;
     ce.detail = left.join_site;
-    recorder().record(std::move(ce));
-    ++live_metrics_.counter("commute_commits");
+    record(std::move(ce));
     left.join_forgiven = 0;
   }
   site_aborts_[left.join_site] = 0;
   governor_outcome(left.join_site, /*aborted=*/false);
   terminate_thread(left);
   left.has_pending_join = false;
-  timeline().record({trace::TimelineEntry::Kind::kCommit,
-                     host_.scheduler().now(), id_, kNoProcess,
-                     guess.to_string()});
   commit_guess_local(guess);
   distribute_control(ControlKind::kCommit, guess, {});
 }
@@ -521,18 +491,16 @@ void SpeculativeProcess::on_fork_timeout(GuessId guess) {
   // The left thread exceeded its budget for S1 (divergence suspicion,
   // section 3.3): the guess aborts, the left thread keeps running, and S2
   // re-executes pessimistically once S1 eventually completes.
-  ++stats_.aborts_timeout;
   record_abort(guess, obs::AbortReason::kTimeout, "timeout");
-  abort_own_guess(guess, "timeout");
+  abort_own_guess(guess);
   after_guard_change();
 }
 
 void SpeculativeProcess::on_join_wait_timeout(GuessId guess) {
   if (crashed_) return;  // restart() aborts uncommitted guesses itself
   if (history_.status(guess) != GuessStatus::kUnknown) return;
-  ++stats_.aborts_timeout;
   record_abort(guess, obs::AbortReason::kTimeout, "join-wait-timeout");
-  abort_own_guess(guess, "join-wait-timeout");
+  abort_own_guess(guess);
   after_guard_change();
 }
 

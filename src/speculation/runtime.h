@@ -3,9 +3,9 @@
 //
 // A Runtime owns everything a run needs; benchmarks construct one per data
 // point, run it to completion on virtual time, and read the stats,
-// committed trace, and timeline back out.  Its host (speculation/host.h)
-// supplies the kernel, network, transport, injector, timeline, and
-// recorder; its process table (speculation/process_table.h) holds the
+// committed trace, and recorded events back out.  Its host
+// (speculation/host.h) supplies the kernel, network, transport, injector,
+// and recorder; its process table (speculation/process_table.h) holds the
 // processes and answers everything asked about them.
 #pragma once
 

@@ -1,4 +1,7 @@
-// Counters describing what the protocol did during a run.
+// Counters describing what the protocol did during a run.  The lifecycle
+// counters that have an event kind (forks, joins, commits, aborts,
+// rollbacks, checkpoints, externals, crashes, governor moves, ...) are
+// counted only from recorded events, by SpeculativeProcess::record.
 #pragma once
 
 #include <cstdint>

@@ -4,19 +4,25 @@
 // benchmarks reproducible, and it is easy to break accidentally (iteration
 // over unordered containers, wall-clock leakage, RNG shared across
 // processes).  These tests re-run workloads and require bit-identical
-// timelines, traces, and counters — and different seeds to actually
-// produce different event timings where randomness is involved.
+// recorded event streams, traces, and counters — and different seeds to
+// actually produce different event timings where randomness is involved.
 #include <gtest/gtest.h>
 
 #include "core/workloads.h"
+#include "obs/events.h"
 
 namespace ocsp {
 namespace {
 
-std::string timeline_of(const baseline::Scenario& scenario, bool spec) {
+/// Every recorded event of the run, one obs::to_string line each.
+std::string events_of(const baseline::Scenario& scenario, bool spec) {
   auto rt = baseline::make_runtime(scenario, spec);
   rt->run(sim::seconds(120));
-  return rt->timeline().to_string();
+  std::string out;
+  for (const auto& e : rt->recorder().events()) {
+    out += obs::to_string(e) + "\n";
+  }
+  return out;
 }
 
 TEST(Determinism, PutLineRunsAreBitIdentical) {
@@ -25,15 +31,15 @@ TEST(Determinism, PutLineRunsAreBitIdentical) {
   p.fail_probability = 0.3;
   p.net.jitter = sim::microseconds(200);
   auto scenario = core::putline_scenario(p);
-  EXPECT_EQ(timeline_of(scenario, true), timeline_of(scenario, true));
-  EXPECT_EQ(timeline_of(scenario, false), timeline_of(scenario, false));
+  EXPECT_EQ(events_of(scenario, true), events_of(scenario, true));
+  EXPECT_EQ(events_of(scenario, false), events_of(scenario, false));
 }
 
 TEST(Determinism, MutualCycleRunsAreBitIdentical) {
   core::MutualParams p;
   p.crossing = true;
   auto scenario = core::mutual_scenario(p);
-  EXPECT_EQ(timeline_of(scenario, true), timeline_of(scenario, true));
+  EXPECT_EQ(events_of(scenario, true), events_of(scenario, true));
 }
 
 TEST(Determinism, SeedsChangeJitteredTimings) {
@@ -41,9 +47,9 @@ TEST(Determinism, SeedsChangeJitteredTimings) {
   p.lines = 8;
   p.net.jitter = sim::microseconds(500);
   p.seed = 1;
-  auto a = timeline_of(core::putline_scenario(p), true);
+  auto a = events_of(core::putline_scenario(p), true);
   p.seed = 2;
-  auto b = timeline_of(core::putline_scenario(p), true);
+  auto b = events_of(core::putline_scenario(p), true);
   EXPECT_NE(a, b);
 }
 
@@ -81,7 +87,7 @@ TEST(Determinism, ReplayStrategyIdenticalToItself) {
   p.transactions = 2;
   p.spec.rollback = spec::RollbackStrategy::kReplayFromLog;
   auto scenario = core::write_through_scenario(p);
-  EXPECT_EQ(timeline_of(scenario, true), timeline_of(scenario, true));
+  EXPECT_EQ(events_of(scenario, true), events_of(scenario, true));
 }
 
 }  // namespace

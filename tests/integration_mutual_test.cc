@@ -49,7 +49,7 @@ TEST(MutualIntegration, Fig7CycleAbortsBothGuesses) {
   // The causal cycle is a time fault; both clients must abort and the run
   // must still converge.
   EXPECT_GE(result.stats.aborts_time_fault, 1u) << result.stats.to_string();
-  EXPECT_GE(result.timeline_rollbacks, 1u);
+  EXPECT_GE(result.stats.rollbacks, 1u);
 }
 
 TEST(MutualIntegration, Fig7ConvergesToValidSequentialOutcome) {

@@ -1,14 +1,17 @@
-// Observability-layer tests: the structured recorder must reconcile
-// exactly with the legacy SpecStats counters, the Chrome trace exporter
-// must emit a well-formed document with the shapes the ISSUE promises
-// (per-process tracks, commit/abort-tagged slices, PRECEDENCE flows), and
-// the metrics snapshot must carry the canonical counters and histograms.
+// Observability-layer tests: every counter the recording funnel bumps must
+// reconcile exactly with the recorded events, and must not change when the
+// recorder stores nothing; the Chrome trace exporter must emit a
+// well-formed document (per-process tracks, commit/abort-tagged slices,
+// PRECEDENCE flows); and the metrics snapshot must carry the canonical
+// counters and histograms.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/workloads.h"
+#include "fault/plan.h"
 #include "obs/chrome_trace.h"
 #include "obs/events.h"
 #include "obs/metrics.h"
@@ -55,23 +58,71 @@ baseline::RunResult run_relay_stream_pipeline() {
 
 // ---- Recorder vs SpecStats reconciliation ---------------------------------
 
+/// Every counter a process's recording funnel bumps equals the recorded
+/// events of its kind.
 void expect_reconciled(const spec::Runtime& rt) {
-  const spec::SpecStats stats = rt.total_stats();
+  const spec::SpecStats s = rt.total_stats();
+  const obs::MetricsRegistry m = rt.metrics();
   const obs::RunRecorder& rec = rt.recorder();
-  EXPECT_EQ(rec.count(EventKind::kFork), stats.forks);
-  EXPECT_EQ(rec.count(EventKind::kIntervalBegin), stats.forks);
-  EXPECT_EQ(rec.count(EventKind::kJoin), stats.joins);
-  EXPECT_EQ(rec.count(EventKind::kCommit), stats.commits);
-  EXPECT_EQ(rec.count(EventKind::kRollback), stats.rollbacks);
-  EXPECT_EQ(rec.abort_count(AbortReason::kValueFault),
-            stats.aborts_value_fault);
-  EXPECT_EQ(rec.abort_count(AbortReason::kTimeFault), stats.aborts_time_fault);
-  EXPECT_EQ(rec.abort_count(AbortReason::kTimeout), stats.aborts_timeout);
-  EXPECT_EQ(rec.abort_count(AbortReason::kCascade), stats.aborts_cascade);
-  // total_aborts() counts primary faults only; cascades are tracked apart.
-  EXPECT_EQ(rec.count(EventKind::kAbort),
-            stats.total_aborts() + stats.aborts_cascade);
-  EXPECT_EQ(rec.count(EventKind::kCommuteCommit), stats.commute_commits);
+  const std::pair<EventKind, std::uint64_t> by_kind[] = {
+      {EventKind::kFork, s.forks},
+      {EventKind::kIntervalBegin, s.forks},
+      {EventKind::kSafeForkElided, s.safe_forks},
+      {EventKind::kJoin, s.joins},
+      {EventKind::kCommit, s.commits},
+      {EventKind::kCommuteCommit, s.commute_commits},
+      {EventKind::kRollback, s.rollbacks},
+      {EventKind::kCheckpointTaken, s.checkpoints},
+      {EventKind::kExternalBuffered, s.externals_buffered},
+      {EventKind::kExternalReleased, s.externals_released},
+      {EventKind::kExternalDiscarded, s.externals_discarded},
+      {EventKind::kCrash, s.crashes},
+      {EventKind::kRecovery, s.crash_recoveries},
+      {EventKind::kGovernorDemote, s.governor_demotions},
+      {EventKind::kGovernorPromote, s.governor_promotions},
+      {EventKind::kGuessMade, m.counter_or("guesses_made")},
+      {EventKind::kGuessVerified, m.counter_or("guesses_verified")},
+      {EventKind::kGuessFailed, m.counter_or("guesses_failed")},
+      // total_aborts() counts primary faults only; cascades are apart.
+      {EventKind::kAbort, s.total_aborts() + s.aborts_cascade},
+  };
+  for (const auto& [kind, n] : by_kind) {
+    EXPECT_EQ(rec.count(kind), n) << obs::to_string(kind);
+  }
+  const std::pair<AbortReason, std::uint64_t> by_reason[] = {
+      {AbortReason::kValueFault, s.aborts_value_fault},
+      {AbortReason::kTimeFault, s.aborts_time_fault},
+      {AbortReason::kTimeout, s.aborts_timeout},
+      {AbortReason::kCascade, s.aborts_cascade},
+      {AbortReason::kCrash, s.aborts_crash},
+  };
+  for (const auto& [reason, n] : by_reason) {
+    EXPECT_EQ(rec.abort_count(reason), n) << obs::to_string(reason);
+  }
+  std::uint64_t forgiven = 0;
+  for (const auto& e : rec.events()) {
+    if (e.kind == EventKind::kCommuteCommit) forgiven += e.a;
+  }
+  EXPECT_EQ(forgiven, s.commute_forgiven_vars);
+  // The snapshot counts each commute commit once.
+  EXPECT_EQ(m.counter_or("commute_commits"), s.commute_commits);
+}
+
+/// Run `scenario` and reconcile it, then run it again with the recorder
+/// storing nothing: every counter must repeat.  Returns the run's stats.
+spec::SpecStats expect_reconciled_run(const baseline::Scenario& scenario,
+                                      sim::Time deadline = sim::kTimeNever) {
+  auto on = baseline::make_runtime(scenario, true);
+  on->run(deadline);
+  EXPECT_TRUE(on->all_clients_completed());
+  expect_reconciled(*on);
+  auto off = baseline::make_runtime(scenario, true);
+  off->recorder().set_enabled(false);
+  off->run(deadline);
+  EXPECT_TRUE(off->recorder().events().empty());
+  EXPECT_EQ(on->total_stats(), off->total_stats());
+  EXPECT_EQ(on->metrics().counters(), off->metrics().counters());
+  return on->total_stats();
 }
 
 TEST(ObsReconciliation, CleanWriteThroughRun) {
@@ -93,6 +144,62 @@ TEST(ObsReconciliation, MutualCrossingRun) {
   EXPECT_GT(rt->recorder().count(EventKind::kCdgCycleDetected) +
                 rt->recorder().abort_count(AbortReason::kTimeFault),
             0u);
+}
+
+TEST(ObsReconciliation, CountsSurviveDisabledRecorder) {
+  core::WriteThroughParams p;
+  p.force_fault = true;
+  p.net.latency = sim::microseconds(100);
+  p.service_time = sim::microseconds(10);
+  const spec::SpecStats s =
+      expect_reconciled_run(core::write_through_scenario(p));
+  EXPECT_GT(s.rollbacks, 0u);
+  EXPECT_GT(s.checkpoints, 0u);
+}
+
+TEST(ObsReconciliation, CommuteCommitsCountedOnce) {
+  core::CommuteRegistryParams p;
+  p.clients = 2;
+  p.net.latency = sim::microseconds(300);
+  const spec::SpecStats s =
+      expect_reconciled_run(core::commute_registry_scenario(p));
+  EXPECT_GT(s.commute_commits, 0u);
+}
+
+TEST(ObsReconciliation, GovernedAbortStorm) {
+  core::AbortStormParams p;
+  p.calls = 30;
+  p.spec.governor_enabled = true;
+  const spec::SpecStats s =
+      expect_reconciled_run(core::abort_storm_scenario(p));
+  EXPECT_GT(s.governor_demotions, 0u);
+  EXPECT_GT(s.aborts_value_fault, 0u);
+}
+
+TEST(ObsReconciliation, SafeFanoutElidedForks) {
+  core::SafeFanoutParams p;
+  p.servers = 4;
+  p.net.latency = sim::microseconds(300);
+  p.spec.safe_site_oracle = false;  // exercise the elided fast path
+  const spec::SpecStats s =
+      expect_reconciled_run(core::safe_fanout_scenario(p));
+  EXPECT_GT(s.safe_forks, 0u);
+}
+
+TEST(ObsReconciliation, CrashChaosPlan) {
+  // PutLine under chaos plan 4 (the crash category) with the recovery
+  // stack on.
+  core::PutLineParams p;
+  p.lines = 8;
+  p.seed = 4;
+  p.spec.control_retry = true;
+  baseline::Scenario scenario = core::putline_scenario(p);
+  scenario.options.reliable.enabled = true;
+  scenario.options.fault_plan =
+      fault::make_chaos_plan(4, {}, /*num_processes=*/2);
+  const spec::SpecStats s = expect_reconciled_run(scenario, sim::seconds(10));
+  EXPECT_GT(s.crashes, 0u);
+  EXPECT_GT(s.crash_recoveries, 0u);
 }
 
 TEST(ObsReconciliation, GuessLifecycleMatchesVerifierCounts) {

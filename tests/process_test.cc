@@ -115,13 +115,12 @@ TEST(Process, ExternalOutputBufferedUntilCommit) {
   EXPECT_EQ(stats.externals_released, 1u);
   EXPECT_EQ(stats.externals_discarded, 0u);
   // The physical release happened at/after the commit, not at the print.
-  sim::Time commit_at = 0, release_at = 0;
-  for (const auto& e : rt.timeline().entries()) {
-    if (e.kind == trace::TimelineEntry::Kind::kCommit) commit_at = e.when;
-    if (e.kind == trace::TimelineEntry::Kind::kExternalRelease) {
-      release_at = e.when;
-    }
+  sim::Time commit_at = -1, release_at = -1;
+  for (const auto& e : rt.recorder().events()) {
+    if (e.kind == obs::EventKind::kCommit) commit_at = e.when;
+    if (e.kind == obs::EventKind::kExternalReleased) release_at = e.when;
   }
+  ASSERT_GE(commit_at, 0);
   EXPECT_GE(release_at, commit_at);
 }
 

@@ -1,9 +1,8 @@
 // Unit tests for the trace layer: committed-trace comparison (the Theorem 1
-// oracle), the physical timeline, and vector clocks.
+// oracle) and vector clocks.
 #include <gtest/gtest.h>
 
 #include "trace/events.h"
-#include "trace/timeline.h"
 #include "trace/vector_clock.h"
 
 namespace ocsp::trace {
@@ -84,22 +83,6 @@ TEST(CompareTraces, OpAndPeerMatter) {
   c.append(send_event(0, 1, "A", csp::Value(1)));
   d.append(send_event(0, 1, "B", csp::Value(1)));
   EXPECT_FALSE(compare_traces(c, d));
-}
-
-TEST(Timeline, RecordsAndCounts) {
-  Timeline tl;
-  tl.record({TimelineEntry::Kind::kFork, 10, 0, kNoProcess, "x1"});
-  tl.record({TimelineEntry::Kind::kAbort, 20, 0, kNoProcess, "x1"});
-  tl.record({TimelineEntry::Kind::kAbort, 30, 1, kNoProcess, "z1"});
-  tl.note(40, 0, "done");
-  EXPECT_EQ(tl.count(TimelineEntry::Kind::kAbort), 2u);
-  EXPECT_EQ(tl.count(TimelineEntry::Kind::kFork), 1u);
-  EXPECT_EQ(tl.entries().size(), 4u);
-  const std::string s = tl.to_string();
-  EXPECT_NE(s.find("fork"), std::string::npos);
-  EXPECT_NE(s.find("abort"), std::string::npos);
-  tl.clear();
-  EXPECT_TRUE(tl.entries().empty());
 }
 
 TEST(VectorClock, TickAndGet) {
