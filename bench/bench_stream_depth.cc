@@ -37,6 +37,15 @@ void report() {
       "us-per-call falls toward the service floor as the chain deepens.\n\n");
 }
 
+/// Host cost per kernel event: flat in depth when the speculation layer's
+/// bookkeeping is O(1) amortized per event.
+benchmark::Counter time_per_event(const baseline::RunResult& result) {
+  return benchmark::Counter(
+      static_cast<double>(result.metrics.counter_or("sim_events_fired")),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+
 void BM_StreamDepth(benchmark::State& state) {
   const int lines = static_cast<int>(state.range(0));
   baseline::RunResult result;
@@ -47,12 +56,7 @@ void BM_StreamDepth(benchmark::State& state) {
   }
   set_counters(state, result);
   state.SetItemsProcessed(state.iterations() * lines);
-  // Host cost per kernel event: flat in depth when the speculation layer's
-  // bookkeeping is O(1) amortized per event.
-  state.counters["time_per_event"] = benchmark::Counter(
-      static_cast<double>(result.metrics.counter_or("sim_events_fired")),
-      benchmark::Counter::kIsIterationInvariantRate |
-          benchmark::Counter::kInvert);
+  state.counters["time_per_event"] = time_per_event(result);
 }
 // 256 and 1024 lines extend the depth curve past the report's table; the
 // 1024 point runs for seconds per iteration.
@@ -67,8 +71,8 @@ BENCHMARK(BM_StreamDepth)
 
 void BM_RelayStreamDepth(benchmark::State& state) {
   core::PipelineParams p;
-  p.calls = 12;
   p.chain_depth = static_cast<int>(state.range(0));
+  p.calls = static_cast<int>(state.range(1));
   p.net.latency = sim::microseconds(500);
   p.stream_relays = true;
   baseline::RunResult result;
@@ -77,8 +81,23 @@ void BM_RelayStreamDepth(benchmark::State& state) {
     benchmark::DoNotOptimize(result.last_completion);
   }
   set_counters(state, result);
+  // Edge insertions per PRECEDENCE: flat in the call count when each
+  // message updates one graph per process, not one per thread.
+  state.counters["cdg_edges_per_precedence"] =
+      static_cast<double>(
+          result.recorder->count(obs::EventKind::kCdgEdgeAdded)) /
+      static_cast<double>(result.stats.precedence_sent);
+  state.counters["time_per_event"] = time_per_event(result);
 }
-BENCHMARK(BM_RelayStreamDepth)->Arg(2)->Arg(4)->Arg(8);
+// Arguments are (relays, calls): the depth points at 12 calls, then the
+// streamed 3-relay pipeline from 16 to 256 calls (the 256 point runs for
+// one to two seconds per iteration).
+BENCHMARK(BM_RelayStreamDepth)
+    ->ArgNames({"relays", "calls"})
+    ->Args({2, 12})
+    ->Args({4, 12})
+    ->Args({8, 12})
+    ->ArgsProduct({{3}, {16, 32, 64, 128, 256}});
 
 }  // namespace
 }  // namespace ocsp::bench

@@ -32,8 +32,11 @@ enum class EventKind : std::uint8_t {
   kGuessFailed,        ///< join found at least one guessed value wrong
   kControlSent,        ///< COMMIT/ABORT/PRECEDENCE distribution initiated
   kControlReceived,    ///< control message processed at a receiver
-  kCdgEdgeAdded,       ///< PRECEDENCE added an edge to a local CDG
-  kCdgCycleDetected,   ///< a CDG edge closed a cycle (time fault)
+  kCdgEdgeAdded,       ///< PRECEDENCE added an edge to the recording
+                       ///< process's CDG (one graph per process: `thread`
+                       ///< is unset)
+  kCdgCycleDetected,   ///< that edge closed a cycle (time fault); `thread`
+                       ///< is unset
   kExternalBuffered,   ///< external output held back by a non-empty guard
   kExternalReleased,   ///< external output released (committed)
   kExternalDiscarded,  ///< buffered external output destroyed by an abort

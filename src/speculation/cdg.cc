@@ -1,7 +1,5 @@
 #include "speculation/cdg.h"
 
-#include <sstream>
-
 namespace ocsp::spec {
 
 bool Cdg::has_node(const GuessId& g) const { return out_.count(g) > 0; }
@@ -93,16 +91,6 @@ std::vector<GuessId> Cdg::nodes() const {
   std::vector<GuessId> out;
   for (const auto& [node, succs] : out_) out.push_back(node);
   return out;
-}
-
-std::string Cdg::to_string() const {
-  std::ostringstream os;
-  for (const auto& [node, succs] : out_) {
-    os << node.to_string() << " ->";
-    for (const auto& s : succs) os << " " << s.to_string();
-    os << "\n";
-  }
-  return os.str();
 }
 
 }  // namespace ocsp::spec

@@ -3,11 +3,12 @@
 // Nodes are guesses; an edge g -> h records "g precedes h": h can commit
 // only after g.  PRECEDENCE messages add edges; a cycle means a causal
 // chain runs backwards through a fork — a time fault — and every guess on
-// the cycle must abort (Figure 4 / Figure 7).
+// the cycle must abort (Figure 4 / Figure 7).  An edge relates two
+// guesses, not threads, so each process keeps one graph over the
+// unresolved guesses it knows.
 #pragma once
 
 #include <map>
-#include <string>
 #include <vector>
 
 #include "speculation/guess.h"
@@ -43,8 +44,6 @@ class Cdg {
 
   std::vector<GuessId> nodes() const;
 
-  std::string to_string() const;
-
  private:
   /// Find a path from `from` back to `target` (DFS); fills `path`.
   bool find_path(const GuessId& from, const GuessId& target,
@@ -52,9 +51,8 @@ class Cdg {
                  util::FlatSet<GuessId>& visited) const;
 
   std::map<GuessId, util::FlatSet<GuessId>> out_;
-  /// Reverse edges, held only for nodes with a predecessor: most nodes have
-  /// none, so copying a graph (every fork and checkpoint does) stays as
-  /// cheap as copying out_ alone.
+  /// Reverse edges, held only for nodes with a predecessor (most nodes have
+  /// none): a commit reads its predecessors, and a removal unlinks them.
   std::map<GuessId, util::FlatSet<GuessId>> in_;
 };
 

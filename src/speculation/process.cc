@@ -531,7 +531,6 @@ ThreadCtx& SpeculativeProcess::insert_thread(ThreadCtx t) {
   OCSP_CHECK_MSG(threads_.count(t.index) == 0,
                  "thread index reuse without kill");
   for (const auto& [g, at] : t.rollbacks) rollback_index_.add(t.index, g, at);
-  for (const auto& g : t.cdg.nodes()) rollback_index_.add_holder(t.index, g);
   gc_stale_ = true;
   const std::uint32_t index = t.index;
   return threads_.emplace(index, std::move(t)).first->second;
@@ -541,10 +540,8 @@ void SpeculativeProcess::erase_thread(
     std::map<std::uint32_t, ThreadCtx>::iterator it) {
   const ThreadCtx& t = it->second;
   for (const auto& [g, at] : t.rollbacks) {
-    rollback_index_.remove(g, at);
-    rollback_index_.remove_holder(t.index, g);
+    rollback_index_.remove(t.index, g, at);
   }
-  for (const auto& g : t.cdg.nodes()) rollback_index_.remove_holder(t.index, g);
   gc_stale_ = true;
   threads_.erase(it);
 }
@@ -559,7 +556,7 @@ void SpeculativeProcess::set_rollback(ThreadCtx& t, const GuessId& g,
   auto [it, inserted] = t.rollbacks.try_emplace(g, at);
   if (!inserted) {
     if (it->second == at) return;
-    rollback_index_.remove(g, it->second);
+    rollback_index_.remove(t.index, g, it->second);
     it->second = at;
   }
   rollback_index_.add(t.index, g, at);
@@ -568,7 +565,7 @@ void SpeculativeProcess::set_rollback(ThreadCtx& t, const GuessId& g,
 void SpeculativeProcess::erase_rollback(ThreadCtx& t, const GuessId& g) {
   auto it = t.rollbacks.find(g);
   if (it == t.rollbacks.end()) return;
-  rollback_index_.remove(g, it->second);
+  rollback_index_.remove(t.index, g, it->second);
   t.rollbacks.erase(it);
 }
 

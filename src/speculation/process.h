@@ -55,7 +55,9 @@ namespace ocsp::spec {
 class ProcessTable;
 
 /// One logical thread of a process.  Copyable: a checkpoint is a copy of
-/// the whole ThreadCtx (machine, guards, CDG, rollback map, event log).
+/// the whole ThreadCtx (machine, guard, rollback map, event log).  The
+/// commit dependency graph belongs to the process (PRECEDENCE edges relate
+/// guesses, not threads), so forks and checkpoints copy none.
 struct ThreadCtx {
   enum class Phase {
     kRunning,       ///< machine is ready; a step is (or will be) scheduled
@@ -73,7 +75,6 @@ struct ThreadCtx {
   csp::Machine machine;
 
   GuardSet guard;
-  Cdg cdg;
   std::map<GuessId, StateIndex> rollbacks;
 
   /// Guess guarding this thread's start (right threads only).
@@ -236,10 +237,12 @@ class SpeculativeProcess {
   RollbackSummary rollback_summary_by_walk() const;
 
   /// Per-guess bookkeeping sizes (bounded-state tests): (guess, control
-  /// kind) forward marks, scheduled-step flags, and SAFE-oracle claims.
+  /// kind) forward marks, commit dependency graph nodes, scheduled-step
+  /// flags, and SAFE-oracle claims.
   std::size_t control_forwarded_count() const {
     return control_forwarded_.size();
   }
+  std::size_t cdg_node_count() const { return cdg_.node_count(); }
   std::size_t step_flag_count() const { return step_scheduled_.size(); }
   std::size_t safe_claim_count() const { return safe_claimed_.size(); }
 
@@ -359,7 +362,7 @@ class SpeculativeProcess {
   void replay_feed(ThreadCtx& t, const LoggedInput& entry);
 
   // ---- thread table and rollback-point index ------------------------------
-  /// Add a thread at a free index, indexing its rollback map and CDG.
+  /// Add a thread at a free index, indexing its rollback map.
   ThreadCtx& insert_thread(ThreadCtx t);
   /// Remove a thread from the table and the index.
   void erase_thread(std::map<std::uint32_t, ThreadCtx>::iterator it);
@@ -423,8 +426,8 @@ class SpeculativeProcess {
 
   std::map<std::uint32_t, ThreadCtx> threads_;  // ascending thread index
   /// Every entry of threads_' rollback maps, and which threads hold which
-  /// guesses; kept in step by insert_thread, erase_thread, set_rollback,
-  /// erase_rollback and the CDG holder marks.
+  /// guesses; kept in step by insert_thread, erase_thread, set_rollback and
+  /// erase_rollback.
   RollbackIndex rollback_index_;
   std::uint32_t max_thread_ = 0;
   std::uint32_t incarnation_ = 0;
@@ -435,6 +438,13 @@ class SpeculativeProcess {
   bool crashed_ = false;
 
   HistoryTable history_;
+  /// Commit dependency graph over the unresolved guesses this process
+  /// knows (4.1.4): forks and acceptances add nodes, PRECEDENCE adds edges,
+  /// commits and explicit aborts remove their node.  Nodes of guesses
+  /// aborted implicitly are swept by gc_resolved_state once the history's
+  /// abort epoch moves past cdg_epoch_.
+  Cdg cdg_;
+  std::uint64_t cdg_epoch_ = 0;
   PredictorState predictors_;
   SpecStats stats_;
 

@@ -331,7 +331,7 @@ void SpeculativeProcess::accept_message(ThreadCtx& t,
   ++t.interval;
   for (const auto& g : newguards) {
     t.guard.add(g);
-    t.cdg.add_node(g);
+    cdg_.add_node(g);
     set_rollback(t, g, rollback_point);
     history_.set_status(g, GuessStatus::kUnknown);
   }

@@ -1,13 +1,14 @@
 // Control-message processing and rollback (sections 4.1.3, 4.2.5-4.2.8).
 //
 // COMMIT removes a guess (and its implied-committed CDG predecessors) from
-// every thread; ABORT computes the Abortset per thread, finds the earliest
-// rollback point, kills every thread created after it, restores the target
-// thread from its checkpoint, cascades ABORTs for our own guesses that died,
-// and requeues the non-orphan input messages that were consumed after the
-// restore point (Figure 5: "Z must re-read message C2 after rolling back").
-// PRECEDENCE adds CDG edges and aborts our own guesses on any cycle (time
-// fault, Figures 4 and 7).
+// the process's CDG and every thread; ABORT computes the Abortset per
+// thread, finds the earliest rollback point, kills every thread created
+// after it, restores the target thread from its checkpoint, cascades ABORTs
+// for our own guesses that died, and requeues the non-orphan input messages
+// that were consumed after the restore point (Figure 5: "Z must re-read
+// message C2 after rolling back").  PRECEDENCE adds edges to the process's
+// one CDG and aborts our own guesses on any cycle (time fault, Figures 4
+// and 7).
 #include <algorithm>
 
 #include "speculation/process.h"
@@ -89,24 +90,19 @@ void SpeculativeProcess::commit_guess_local(const GuessId& g) {
     GuessId h = queue.back();
     queue.pop_back();
     history_.set_status(h, GuessStatus::kCommitted);
-    // Only threads holding h can carry it in a guard, rollback map or CDG
+    // Predecessors of a committed guess must have committed too: a guess
+    // only commits after everything in its guard resolved.
+    for (const auto& p : cdg_.predecessors(h)) {
+      if (history_.status(p) != GuessStatus::kCommitted) queue.push_back(p);
+    }
+    cdg_.remove_node(h);
+    // Only threads holding h in their rollback map can carry it in a guard
     // (a guard member always has a rollback entry).
     for (std::uint32_t idx : rollback_index_.holders(h)) {
-      auto th = threads_.find(idx);
-      if (th == threads_.end()) continue;
-      ThreadCtx& t = th->second;
-      if (t.cdg.has_node(h)) {
-        // Predecessors of a committed guess must have committed too: a
-        // guess only commits after everything in its guard resolved.
-        for (const auto& p : t.cdg.predecessors(h)) {
-          if (history_.status(p) != GuessStatus::kCommitted) queue.push_back(p);
-        }
-        t.cdg.remove_node(h);
-      }
+      ThreadCtx& t = threads_.at(idx);
       t.guard.erase(h);
       erase_rollback(t, h);
     }
-    rollback_index_.drop_holders(h);
   }
 }
 
@@ -131,15 +127,7 @@ void SpeculativeProcess::abort_guess_local(const GuessId& g) {
   history_.observe_incarnation(g.owner, g.incarnation + 1, g.index);
 
   rollback_aborted_dependencies();
-  // Scrub CDG nodes of the aborted guess from untouched threads.
-  for (std::uint32_t idx : rollback_index_.holders(g)) {
-    auto th = threads_.find(idx);
-    if (th == threads_.end()) continue;
-    th->second.cdg.remove_node(g);
-    if (th->second.rollbacks.count(g) == 0) {
-      rollback_index_.remove_holder(idx, g);
-    }
-  }
+  cdg_.remove_node(g);
   rollback_cause_ = saved_cause;
 }
 
@@ -166,7 +154,7 @@ void SpeculativeProcess::rollback_aborted_dependencies() {
       }
       // Followers of aborted guesses in the CDG also roll back.
       for (std::size_t i = 0; i < abortset.size(); ++i) {
-        for (const auto& f : t.cdg.closure_from(abortset[i])) {
+        for (const auto& f : cdg_.closure_from(abortset[i])) {
           if (t.guard.contains(f) &&
               std::find(abortset.begin(), abortset.end(), f) ==
                   abortset.end()) {
@@ -569,7 +557,6 @@ void SpeculativeProcess::replay_feed(ThreadCtx& t, const LoggedInput& entry) {
     // dependencies.
     if (history_.status(g) == GuessStatus::kCommitted) continue;
     t.guard.add(g);
-    t.cdg.add_node(g);
     t.rollbacks[g] = entry.pre;
   }
   t.interval = entry.at.interval;
@@ -662,7 +649,6 @@ void SpeculativeProcess::restore_thread(const StateIndex& target) {
   }
   for (const auto& g : committed_since) {
     restored.guard.erase(g);
-    restored.cdg.remove_node(g);
     restored.rollbacks.erase(g);
   }
 
@@ -699,39 +685,41 @@ void SpeculativeProcess::restore_thread(const StateIndex& target) {
 
 void SpeculativeProcess::on_precedence_msg(const GuessId& subject,
                                            const GuardSet& guard) {
+  // A PRECEDENCE can arrive after its subject resolved: over a non-FIFO
+  // link the owner's later COMMIT or ABORT may overtake it.  The ordering
+  // is moot then, and recording the subject as unknown would revive a
+  // guess that an incarnation already aborted implicitly.
+  if (history_.status(subject) != GuessStatus::kUnknown) return;
   history_.set_status(subject, GuessStatus::kUnknown);
 
-  // Collect cycles first: aborting mutates threads_ under our feet.
+  // Collect cycles first: aborting rolls threads back and removes nodes.
   std::vector<GuessId> own_to_abort;
-  for (auto& [idx, t] : threads_) {
-    for (const auto& h : guard) {
-      if (!t.cdg.has_node(h) && !t.cdg.has_node(subject)) continue;
-      if (t.cdg.has_edge(h, subject)) continue;
-      std::vector<GuessId> cycle = t.cdg.add_edge(h, subject);
-      rollback_index_.add_holder(idx, h);
-      rollback_index_.add_holder(idx, subject);
-      {
-        obs::Event ev = make_event(obs::EventKind::kCdgEdgeAdded);
-        ev.thread = idx;
-        ev.guess = guess_ref(subject);
-        ev.guess_from = guess_ref(h);
-        record(std::move(ev));
-      }
-      if (!cycle.empty()) {
-        obs::Event ev = make_event(obs::EventKind::kCdgCycleDetected);
-        ev.thread = idx;
-        ev.guess = guess_ref(subject);
-        ev.guess_from = guess_ref(h);
-        ev.a = cycle.size();
-        record(std::move(ev));
-      }
-      for (const auto& c : cycle) {
-        if (c.owner == id_ &&
-            history_.status(c) == GuessStatus::kUnknown &&
-            std::find(own_to_abort.begin(), own_to_abort.end(), c) ==
-                own_to_abort.end()) {
-          own_to_abort.push_back(c);
-        }
+  for (const auto& h : guard) {
+    // The graph holds only unresolved guesses; only a guess this process
+    // already knows needs the edge.
+    if (history_.status(h) != GuessStatus::kUnknown) continue;
+    if (!cdg_.has_node(h) && !cdg_.has_node(subject)) continue;
+    if (cdg_.has_edge(h, subject)) continue;
+    std::vector<GuessId> cycle = cdg_.add_edge(h, subject);
+    {
+      obs::Event ev = make_event(obs::EventKind::kCdgEdgeAdded);
+      ev.guess = guess_ref(subject);
+      ev.guess_from = guess_ref(h);
+      record(std::move(ev));
+    }
+    if (!cycle.empty()) {
+      obs::Event ev = make_event(obs::EventKind::kCdgCycleDetected);
+      ev.guess = guess_ref(subject);
+      ev.guess_from = guess_ref(h);
+      ev.a = cycle.size();
+      record(std::move(ev));
+    }
+    for (const auto& c : cycle) {
+      if (c.owner == id_ &&
+          history_.status(c) == GuessStatus::kUnknown &&
+          std::find(own_to_abort.begin(), own_to_abort.end(), c) ==
+              own_to_abort.end()) {
+        own_to_abort.push_back(c);
       }
     }
   }
@@ -778,6 +766,16 @@ void SpeculativeProcess::gc_resolved_state() {
     sweep_resolved_state(summary);
     gc_summary_ = summary;
     gc_stale_ = false;
+  }
+
+  // Commits and explicit aborts remove their own node; guesses aborted
+  // implicitly (through an incarnation, or killed with their thread) leave
+  // the graph here, once per abort epoch.
+  if (cdg_epoch_ != history_.abort_epoch()) {
+    for (const auto& g : cdg_.nodes()) {
+      if (history_.status(g) != GuessStatus::kUnknown) cdg_.remove_node(g);
+    }
+    cdg_epoch_ = history_.abort_epoch();
   }
 
   // Resolved guesses need no targeted-control bookkeeping either.  The
@@ -899,7 +897,8 @@ std::string SpeculativeProcess::RollbackSummary::to_string() const {
   std::string out = any_unresolved ? "low=" + low.to_string() : "resolved";
   out += " targets={";
   for (std::size_t i = 0; i < targets.size(); ++i) {
-    out += (i > 0 ? "," : "") + std::to_string(targets[i]);
+    if (i > 0) out += ',';
+    out += std::to_string(targets[i]);
   }
   return out + "}";
 }

@@ -118,7 +118,6 @@ void SpeculativeProcess::do_fork(ThreadCtx& t, const csp::ForkStmt& f) {
     // A SAFE fork adds no guess of its own, but any enclosing speculation
     // still guards both threads: inherit the parent's dependencies.
     r.guard = t.guard;
-    r.cdg = t.cdg;
     r.rollbacks = t.rollbacks;
     r.has_own_guess = false;
     r.created_at = current_index(t);
@@ -217,8 +216,6 @@ void SpeculativeProcess::do_fork(ThreadCtx& t, const csp::ForkStmt& f) {
   r.machine = std::move(right_machine);
   r.guard = t.guard;
   r.guard.add(guess);
-  r.cdg = t.cdg;
-  r.cdg.add_node(guess);
   r.rollbacks = t.rollbacks;
   r.rollbacks[guess] = StateIndex{incarnation_, new_index, 0};
   r.has_own_guess = true;
@@ -227,6 +224,7 @@ void SpeculativeProcess::do_fork(ThreadCtx& t, const csp::ForkStmt& f) {
   r.created_at = current_index(t);
 
   history_.set_status(guess, GuessStatus::kUnknown);
+  cdg_.add_node(guess);
 
   {
     obs::Event fe = make_event(obs::EventKind::kFork);
@@ -468,7 +466,6 @@ void SpeculativeProcess::reexecute_right(ThreadCtx& left) {
       auto rb = left.rollbacks.find(g);
       OCSP_CHECK_MSG(rb != left.rollbacks.end(), "guard without rollback");
       r.rollbacks[g] = rb->second;
-      r.cdg.add_node(g);
     }
   }
   r.has_own_guess = false;

@@ -6,8 +6,8 @@
 // pair sits in many threads at once.  The index merges all of them into one
 // reference-counted set ordered by rollback point, so the earliest point
 // (the GC low-water mark) and the threads rollbacks target are read off it
-// instead of walking every thread's map, and it records which threads may
-// hold each guess, so resolving a guess visits only those threads.
+// instead of walking every thread's map, and it records which threads hold
+// each guess, so resolving a guess visits only those threads.
 #pragma once
 
 #include <cstdint>
@@ -28,35 +28,21 @@ class RollbackIndex {
   /// `thread`'s rollback map gained g -> at; `thread` now holds g.
   void add(std::uint32_t thread, const GuessId& g, const StateIndex& at) {
     ++refs_[Entry{at, g}];
-    add_holder(thread, g);
-  }
-
-  /// One add() of g -> at left a rollback map.  The holder mark stays
-  /// until remove_holder() or drop_holders(): the thread may still hold g
-  /// as a CDG node.
-  void remove(const GuessId& g, const StateIndex& at) {
-    auto it = refs_.find(Entry{at, g});
-    if (it != refs_.end() && --it->second == 0) refs_.erase(it);
-  }
-
-  /// `thread` may hold g (in its rollback map or CDG).
-  void add_holder(std::uint32_t thread, const GuessId& g) {
     holders_[g].insert(thread);
   }
 
-  void remove_holder(std::uint32_t thread, const GuessId& g) {
-    auto it = holders_.find(g);
-    if (it == holders_.end()) return;
-    it->second.erase(thread);
-    if (it->second.empty()) holders_.erase(it);
+  /// `thread`'s rollback map lost g -> at; `thread` no longer holds g.
+  void remove(std::uint32_t thread, const GuessId& g, const StateIndex& at) {
+    auto it = refs_.find(Entry{at, g});
+    if (it != refs_.end() && --it->second == 0) refs_.erase(it);
+    auto holder = holders_.find(g);
+    if (holder == holders_.end()) return;
+    holder->second.erase(thread);
+    if (holder->second.empty()) holders_.erase(holder);
   }
 
-  /// g is resolved and scrubbed from every thread.
-  void drop_holders(const GuessId& g) { holders_.erase(g); }
-
-  /// Threads that may hold g, ascending: a superset of the threads whose
-  /// rollback map or CDG contains g.  A copy, so callers may mutate the
-  /// index while they visit.
+  /// Threads whose rollback map holds g, ascending.  A copy, so callers
+  /// may mutate the index while they visit.
   std::vector<std::uint32_t> holders(const GuessId& g) const {
     auto it = holders_.find(g);
     if (it == holders_.end()) return {};

@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/workloads.h"
 #include "fault/plan.h"
@@ -84,22 +88,32 @@ TEST(Gc, ClientStateAlsoPruned) {
 
 // ---- per-guess bookkeeping ----------------------------------------------
 
-/// The targeted-control relay pipeline: guesses chain through three
-/// streaming relays, and every resolution is forwarded hop by hop.  (Its
-/// cost grows steeply with the call count — precedence cycle checks walk
-/// every thread's CDG — so the tests keep it short.)
-core::PipelineParams targeted_relays() {
+/// The streamed 3-relay pipeline: guesses chain through three streaming
+/// relays, every join publishes PRECEDENCE, and under targeted control
+/// every resolution is forwarded hop by hop.
+core::PipelineParams relay_pipeline(int calls, spec::ControlPlane plane) {
   core::PipelineParams p;
-  p.calls = 32;
+  p.calls = calls;
   p.chain_depth = 3;
   p.stream_relays = true;
-  p.spec.control = spec::ControlPlane::kTargeted;
+  p.spec.control = plane;
   return p;
 }
 
+/// Commit dependency graph nodes each process still holds.
+std::map<std::string, std::size_t> cdg_nodes(const spec::Runtime& rt) {
+  std::map<std::string, std::size_t> out;
+  for (ProcessId id : rt.all_process_ids()) {
+    out[rt.process(id).name()] = rt.process(id).cdg_node_count();
+  }
+  return out;
+}
+
 TEST(Gc, PerGuessMapsEmptyOnceQuiet) {
-  auto rt = baseline::make_runtime(core::pipeline_scenario(targeted_relays()),
-                                   true);
+  auto rt = baseline::make_runtime(
+      core::pipeline_scenario(
+          relay_pipeline(256, spec::ControlPlane::kTargeted)),
+      true);
   rt->run(0);
   // Step the run to see step flags in use before they drain.  (Forward
   // marks live only within the handling of one control message.)
@@ -128,7 +142,77 @@ TEST(Gc, PerGuessMapsEmptyOnceQuiet) {
   }
   // Dropping the forward marks with the recipients forwards nothing new:
   // the run sends exactly the control traffic it sent with unbounded maps.
-  EXPECT_EQ(control_sent, 535u);
+  EXPECT_EQ(control_sent, 4343u);
+
+  // Targeted control routes a COMMIT only to the processes that saw the
+  // guess in a tag, so a relay keeps the few nodes PRECEDENCE taught it
+  // about guesses it never held.  That residue must not grow with the run.
+  auto short_run = baseline::make_runtime(
+      core::pipeline_scenario(relay_pipeline(16, spec::ControlPlane::kTargeted)),
+      true);
+  short_run->run();
+  ASSERT_TRUE(short_run->all_clients_completed());
+  EXPECT_EQ(cdg_nodes(*rt), cdg_nodes(*short_run));
+}
+
+/// Under broadcast control every process hears every resolution, so once a
+/// run goes quiet no process's commit dependency graph holds a node: commits
+/// and aborts remove theirs, and implicit aborts are swept.
+TEST(Gc, CommitGraphEmptyOnceBroadcastRunsGoQuiet) {
+  core::SharedServerParams shared;
+  shared.clients = 4;
+  shared.net.jitter = sim::microseconds(300);
+  shared.net.fifo = false;
+  const std::vector<std::pair<std::string, baseline::Scenario>> runs = {
+      {"relay pipeline", core::pipeline_scenario(relay_pipeline(
+                             32, spec::ControlPlane::kBroadcast))},
+      {"shared server", core::shared_server_scenario(shared)},
+  };
+  for (const auto& [label, scenario] : runs) {
+    auto rt = baseline::make_runtime(scenario, true);
+    rt->run();
+    ASSERT_TRUE(rt->all_clients_completed()) << label;
+    EXPECT_GT(rt->recorder().count(obs::EventKind::kCdgEdgeAdded), 0u)
+        << label;
+    for (const auto& [name, nodes] : cdg_nodes(*rt)) {
+      EXPECT_EQ(nodes, 0u) << label << ": " << name;
+    }
+  }
+}
+
+/// Each PRECEDENCE inserts its edges into one graph per process, so the
+/// edge work per PRECEDENCE stays flat as the relay pipeline lengthens,
+/// instead of growing with the threads that hold one of its guesses.
+TEST(Gc, RelayCdgEdgesPerPrecedenceFlatInCallCount) {
+  struct Point {
+    spec::ControlPlane plane;
+    int calls;
+    std::uint64_t sim_events;  ///< the run's kernel events, pinned
+  };
+  const Point points[] = {{spec::ControlPlane::kBroadcast, 16, 625},
+                          {spec::ControlPlane::kBroadcast, 128, 4993},
+                          {spec::ControlPlane::kTargeted, 16, 603},
+                          {spec::ControlPlane::kTargeted, 128, 4859}};
+  std::map<spec::ControlPlane, std::vector<double>> per_precedence;
+  for (const Point& pt : points) {
+    auto rt = baseline::make_runtime(
+        core::pipeline_scenario(relay_pipeline(pt.calls, pt.plane)), true);
+    rt->run();
+    ASSERT_TRUE(rt->all_clients_completed()) << pt.calls;
+    EXPECT_EQ(rt->metrics().counter_or("sim_events_fired"), pt.sim_events)
+        << pt.calls;
+    const std::uint64_t precedence = rt->total_stats().precedence_sent;
+    ASSERT_GT(precedence, 0u) << pt.calls;
+    per_precedence[pt.plane].push_back(
+        static_cast<double>(
+            rt->recorder().count(obs::EventKind::kCdgEdgeAdded)) /
+        static_cast<double>(precedence));
+  }
+  for (const auto& [plane, ratios] : per_precedence) {
+    // Work per PRECEDENCE at 8x the calls is at most 2x the work at 16.
+    EXPECT_LE(ratios[1], 2.0 * ratios[0])
+        << "16 calls: " << ratios[0] << ", 128 calls: " << ratios[1];
+  }
 }
 
 // ---- rollback-point index versus the whole-thread walk ----------------------
@@ -206,8 +290,13 @@ TEST(Gc, RollbackIndexMatchesWalkUnderChaos) {
 }
 
 TEST(Gc, RollbackIndexMatchesWalkOnTargetedRelays) {
+  // The reference walks every thread's rollback map after every scheduler
+  // step, so its cost grows with steps times threads; 32 calls already
+  // chain guesses through all three relays and forward every resolution.
   EXPECT_GT(expect_index_matches_walk(
-                core::pipeline_scenario(targeted_relays()), sim::seconds(60))
+                core::pipeline_scenario(
+                    relay_pipeline(32, spec::ControlPlane::kTargeted)),
+                sim::seconds(60))
                 .in_doubt,
             0u);
 }

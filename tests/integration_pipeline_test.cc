@@ -87,6 +87,52 @@ TEST(PipelineIntegration, RelayStreamingBeatsClientOnlyAtDepth) {
   EXPECT_LT(full.last_completion, client_only.last_completion);
 }
 
+// Over a non-FIFO link a guess's PRECEDENCE can arrive after its ABORT,
+// when an earlier abort by the same owner has already aborted that guess
+// implicitly (through a new incarnation).  The late PRECEDENCE must not
+// mark it unknown again: the relay would wait in Receive under a guard
+// nothing resolves, and the run would stall with the client still
+// awaiting its first reply.
+TEST(PipelineIntegration, LatePrecedenceDoesNotReviveAbortedGuess) {
+  auto reordered = [] {
+    core::PipelineParams p;
+    p.calls = 16;
+    p.chain_depth = 1;
+    p.net.jitter = sim::microseconds(50);
+    p.net.fifo = false;
+    return p;
+  };
+  auto expect_pessimistic_trace = [](const core::PipelineParams& p,
+                                     const std::string& label) {
+    auto scenario = core::pipeline_scenario(p);
+    auto pess = baseline::run_scenario(scenario, false);
+    auto opt = baseline::run_scenario(scenario, true);
+    ASSERT_TRUE(pess.all_completed) << label;
+    ASSERT_TRUE(opt.all_completed) << label << " " << opt.stats.to_string();
+    std::string why;
+    EXPECT_TRUE(trace::compare_traces(pess.trace, opt.trace, &why))
+        << label << ": " << why;
+  };
+  for (auto strategy : {spec::RollbackStrategy::kCheckpointEveryInterval,
+                        spec::RollbackStrategy::kReplayFromLog}) {
+    for (auto plane :
+         {spec::ControlPlane::kBroadcast, spec::ControlPlane::kTargeted}) {
+      core::PipelineParams p = reordered();
+      p.spec.rollback = strategy;
+      p.spec.control = plane;
+      expect_pessimistic_trace(
+          p, std::string(strategy == spec::RollbackStrategy::kReplayFromLog
+                             ? "replay"
+                             : "checkpoint") +
+                 (plane == spec::ControlPlane::kTargeted ? "/targeted"
+                                                         : "/broadcast"));
+    }
+  }
+  core::PipelineParams p = reordered();
+  p.stream_relays = true;
+  expect_pessimistic_trace(p, "stream_relays");
+}
+
 TEST(SharedServerIntegration, TwoClientsCompleteAndMatchTraces) {
   core::SharedServerParams p;
   p.clients = 2;

@@ -13,6 +13,9 @@
 // replay strategy takes measurably fewer checkpoints.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/workloads.h"
 
 namespace ocsp {
@@ -123,6 +126,100 @@ TEST(RollbackStrategy, NoFaultRunsNeverReplay) {
   ASSERT_TRUE(result.all_completed);
   EXPECT_EQ(result.stats.replays, 0u);
   EXPECT_EQ(result.stats.rollbacks, 0u);
+}
+
+// Abort decisions on the workloads that publish PRECEDENCE (or abort on a
+// time fault), pinned exactly under both strategies and both control
+// planes: how the commit dependency graph is kept must not change which
+// guesses fork, commit, abort or roll back, nor the control traffic.
+TEST(RollbackStrategy, PrecedenceWorkloadDecisionsPinned) {
+  struct Pinned {
+    std::string label;
+    baseline::Scenario scenario;
+    int clients;  ///< >0: compare only the first `clients` processes' traces
+    std::uint64_t forks, commits, time_faults, cascades, rollbacks;
+    std::uint64_t precedence;
+    std::uint64_t control_broadcast, control_targeted;
+    sim::Time completion_broadcast, completion_targeted;
+  };
+  auto cases = [](spec::RollbackStrategy strategy, spec::ControlPlane plane) {
+    auto configure = [&](spec::SpecConfig& c) {
+      c.rollback = strategy;
+      c.control = plane;
+    };
+    core::PipelineParams relay;
+    relay.calls = 32;
+    relay.chain_depth = 3;
+    relay.stream_relays = true;
+    configure(relay.spec);
+    core::MutualParams crossing;
+    crossing.crossing = true;
+    configure(crossing.spec);
+    core::WriteThroughParams write_through;
+    write_through.transactions = 3;
+    configure(write_through.spec);
+    core::SharedServerParams shared;
+    shared.clients = 4;
+    configure(shared.spec);
+    return std::vector<Pinned>{
+        {"relay", core::pipeline_scenario(relay), 0, 96, 96, 0, 0, 0, 95,
+         573, 535, sim::microseconds(49515), sim::microseconds(65015)},
+        {"crossing", core::mutual_scenario(crossing), 0, 2, 0, 2, 6, 6, 2,
+         12, 12, sim::microseconds(12020), sim::microseconds(12020)},
+        {"write-through", core::write_through_scenario(write_through), 0, 6,
+         0, 5, 13, 13, 0, 12, 16, sim::microseconds(30140),
+         sim::microseconds(30140)},
+        {"shared server", core::shared_server_scenario(shared), 4, 24, 24, 0,
+         0, 0, 18, 168, 98, sim::microseconds(2550),
+         sim::microseconds(4650)},
+    };
+  };
+  for (auto strategy : {spec::RollbackStrategy::kCheckpointEveryInterval,
+                        spec::RollbackStrategy::kReplayFromLog}) {
+    for (auto plane :
+         {spec::ControlPlane::kBroadcast, spec::ControlPlane::kTargeted}) {
+      const bool targeted = plane == spec::ControlPlane::kTargeted;
+      for (const Pinned& pin : cases(strategy, plane)) {
+        const std::string label =
+            pin.label +
+            (strategy == spec::RollbackStrategy::kReplayFromLog ? "/replay"
+                                                                : "/checkpoint") +
+            (targeted ? "/targeted" : "/broadcast");
+        auto pess = baseline::run_scenario(pin.scenario, false);
+        auto opt = baseline::run_scenario(pin.scenario, true);
+        ASSERT_TRUE(pess.all_completed) << label;
+        ASSERT_TRUE(opt.all_completed) << label << " " << opt.stats.to_string();
+        std::string why;
+        if (pin.clients > 0) {
+          // The server may see the clients' requests in another order.
+          for (int c = 0; c < pin.clients; ++c) {
+            EXPECT_TRUE(trace::compare_process_trace(
+                pess.trace, opt.trace, static_cast<ProcessId>(c), &why))
+                << label << ": " << why;
+          }
+        } else {
+          EXPECT_TRUE(trace::compare_traces(pess.trace, opt.trace, &why))
+              << label << ": " << why;
+        }
+        const spec::SpecStats& s = opt.stats;
+        EXPECT_EQ(s.forks, pin.forks) << label;
+        EXPECT_EQ(s.commits, pin.commits) << label;
+        EXPECT_EQ(s.aborts_value_fault, 0u) << label;
+        EXPECT_EQ(s.aborts_time_fault, pin.time_faults) << label;
+        EXPECT_EQ(s.aborts_timeout, 0u) << label;
+        EXPECT_EQ(s.aborts_crash, 0u) << label;
+        EXPECT_EQ(s.aborts_cascade, pin.cascades) << label;
+        EXPECT_EQ(s.rollbacks, pin.rollbacks) << label;
+        EXPECT_EQ(s.precedence_sent, pin.precedence) << label;
+        EXPECT_EQ(s.control_sent,
+                  targeted ? pin.control_targeted : pin.control_broadcast)
+            << label;
+        EXPECT_EQ(opt.last_completion, targeted ? pin.completion_targeted
+                                                : pin.completion_broadcast)
+            << label;
+      }
+    }
+  }
 }
 
 class StrategySweep
