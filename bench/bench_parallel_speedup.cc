@@ -55,7 +55,7 @@ void curve_report(const char* title, int miss_period, bool sleep_burn,
 
   std::printf("%s\n", title);
   util::Table table({"workers", "wall ms", "speedup", "virt ms", "commits",
-                     "aborts", "gvt windows", "fossil"});
+                     "aborts", "gvt windows"});
   double wall_1 = 0.0;
   for (int workers : {1, 2, 4, 8}) {
     const auto par = exec::run_scenario_parallel(
@@ -72,8 +72,7 @@ void curve_report(const char* title, int miss_period, bool sleep_burn,
     table.row(workers, wall_ms, wall_ms > 0 ? wall_1 / wall_ms : 0.0,
               sim::to_millis(par.result.last_completion),
               par.result.stats.commits, par.result.stats.total_aborts(),
-              par.windows.size(),
-              par.result.stats.checkpoints_fossil_collected);
+              par.windows.size());
   }
   std::printf("%s\n", table.to_string().c_str());
 }

@@ -164,8 +164,6 @@ sim::Time ParallelRuntime::run(sim::Time deadline) {
   start_workers();
 
   std::vector<std::uint64_t> prev_fired(shards_.size(), 0);
-  sim::Time prev_gvt = 0;
-  bool first_window = true;
   for (;;) {
     // (1) Drain cross-shard inboxes.  Workers are parked at the barrier,
     // so touching shard schedulers here is single-threaded.
@@ -188,23 +186,8 @@ sim::Time ParallelRuntime::run(sim::Time deadline) {
     for (auto& s : shards_) gvt = std::min(gvt, s->scheduler().next_time());
     if (gvt == sim::kTimeNever) break;
     if (deadline != sim::kTimeNever && gvt > deadline) break;
-    if (first_window || gvt > prev_gvt) ++gvt_advances_;
-    first_window = false;
-    prev_gvt = gvt;
 
-    // (3) Fossil-collect checkpoints below the speculation floor, clamped
-    // to GVT so the fence never outruns commit finality.
-    sim::Time floor = sim::kTimeNever;
-    for (ProcessId id = 0; id < process_count(); ++id) {
-      floor = std::min(floor, process(id).speculation_floor());
-    }
-    const sim::Time fence = std::min(floor, gvt);
-    std::uint64_t freed = 0;
-    for (ProcessId id = 0; id < process_count(); ++id) {
-      freed += process(id).fossil_collect(fence);
-    }
-
-    // (4) Run the window [gvt, end) on all shards concurrently.  Events in
+    // (3) Run the window [gvt, end) on all shards concurrently.  Events in
     // it are cross-shard independent: anything they send lands >= gvt + L.
     const sim::Time end = deadline == sim::kTimeNever
                               ? gvt + lookahead_
@@ -217,8 +200,7 @@ sim::Time ParallelRuntime::run(sim::Time deadline) {
       fired += total - prev_fired[i];
       prev_fired[i] = total;
     }
-    windows_.push_back(
-        WindowStats{gvt, end, fence, min_drained, fired, freed});
+    windows_.push_back(WindowStats{gvt, end, min_drained, fired});
   }
 
   if (deadline != sim::kTimeNever) return deadline;
@@ -236,7 +218,6 @@ obs::MetricsRegistry ParallelRuntime::metrics() const {
   obs::MetricsRegistry m = merged_process_metrics();
   for (const auto& s : shards_) s->add_counters(m);
   m.counter("gvt_windows") += windows_.size();
-  m.counter("gvt_advances") += gvt_advances_;
   return m;
 }
 

@@ -31,9 +31,9 @@
 //     senders), recomputes GVT, and opens the next window.
 //   * Commit/abort/cascade below GVT are final: no in-flight message can
 //     land before it, which is what makes the fence a GVT in the Time Warp
-//     sense.  Checkpoint fossil collection runs at each fence
-//     (SpeculativeProcess::fossil_collect) below the speculation floor,
-//     clamped to GVT.
+//     sense.  Speculation state is freed by each process's own
+//     resolved-state sweep, exactly as on the simulator, so the barrier
+//     makes no pass over the processes.
 //
 // Determinism: the committed trace — and, with one shard, the entire
 // recorder stream — is bit-identical to the sequential simulator running
@@ -122,14 +122,11 @@ struct ParallelOptions {
 struct WindowStats {
   sim::Time gvt = 0;  ///< earliest pending event when the window opened
   sim::Time end = 0;  ///< exclusive window end: min(gvt + L, deadline + 1)
-  /// Fossil fence used this window: min(speculation floor, gvt).
-  sim::Time fossil_floor = sim::kTimeNever;
   /// Earliest delivery time among cross-shard messages drained at this
   /// window's barrier (kTimeNever if none); never below `gvt` — the
   /// straggler-safety invariant.
   sim::Time min_drained_delivery = sim::kTimeNever;
-  std::uint64_t fired = 0;             ///< events fired across all shards
-  std::uint64_t checkpoints_freed = 0; ///< fossil-collected checkpoints
+  std::uint64_t fired = 0;  ///< events fired across all shards
 };
 
 class ParallelRuntime final : public spec::ProcessTable {
@@ -157,7 +154,7 @@ class ParallelRuntime final : public spec::ProcessTable {
   const std::vector<WindowStats>& windows() const { return windows_; }
 
   /// Run-wide metrics, as spec::Runtime::metrics with every shard's host
-  /// counters summed, plus the executor's own gvt_windows / gvt_advances.
+  /// counters summed, plus the executor's own gvt_windows.
   obs::MetricsRegistry metrics() const;
 
   /// Network counters summed over shards (sends/drops count on the
@@ -201,7 +198,6 @@ class ParallelRuntime final : public spec::ProcessTable {
   sim::Time lookahead_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<WindowStats> windows_;
-  std::uint64_t gvt_advances_ = 0;
   Barrier bar_;
   std::vector<std::thread> pool_;
 };

@@ -118,19 +118,16 @@ struct SpecConfig {
   int control_retry_limit = 25;
 
   /// Adaptive speculation governor: a per-fork-site abort-rate EWMA circuit
-  /// breaker.  A site whose EWMA abort rate reaches governor_demote_threshold
-  /// (after governor_min_samples outcomes) is demoted to sequential
+  /// breaker.  A site whose EWMA abort rate reaches the demote threshold
+  /// (after a minimum number of outcomes) is demoted to sequential
   /// execution; each governed sequential pass decays the EWMA, and once it
-  /// falls to governor_promote_threshold the site speculates again
-  /// (hysteresis re-enable).  Unlike retry limit L — which is per-site,
+  /// falls to the promote threshold the site speculates again (hysteresis
+  /// re-enable; the tuning constants sit beside governor_outcome in
+  /// process_crash.cc).  Unlike retry limit L — which is per-site,
   /// monotone, and resets only on commit — the governor bounds wasted work
   /// under sustained fault pressure while staying able to recover when the
   /// storm passes.  Off by default: zero behavioural drift.
   bool governor_enabled = false;
-  double governor_alpha = 0.25;
-  double governor_demote_threshold = 0.65;
-  double governor_promote_threshold = 0.25;
-  int governor_min_samples = 4;
 };
 
 }  // namespace ocsp::spec

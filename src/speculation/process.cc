@@ -507,7 +507,6 @@ std::uint64_t SpeculativeProcess::restore_cost_bytes(
 
 void SpeculativeProcess::take_checkpoint(const ThreadCtx& t) {
   ThreadCtx snapshot = t;
-  snapshot.checkpointed_at = host_.scheduler().now();
   const std::uint64_t payload = snapshot.machine.state_bytes();
   apply_state_strategy(snapshot.machine);
   {

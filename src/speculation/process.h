@@ -134,12 +134,6 @@ struct ThreadCtx {
   /// Where (in the parent) this thread was created; used to decide which
   /// threads a rollback kills.
   StateIndex created_at;
-
-  /// Virtual time at which this ThreadCtx was snapshotted into the
-  /// checkpoint store (meaningful only on checkpoint copies).  The parallel
-  /// executor's fossil collector frees checkpoints whose time is below the
-  /// GVT-derived speculation floor.
-  sim::Time checkpointed_at = 0;
 };
 
 class SpeculativeProcess {
@@ -193,27 +187,6 @@ class SpeculativeProcess {
   /// order; Env copies are O(1)).  Differential tests compare these across
   /// state strategies.
   std::vector<std::pair<StateIndex, csp::Env>> checkpoint_envs() const;
-
-  // ---- GVT fossil collection (parallel executor) --------------------------
-
-  /// Earliest virtual time any still-possible rollback of this process can
-  /// restore to: the minimum, over every unresolved guess in any live
-  /// thread's rollback map, of the checkpoint time of the restore base
-  /// (the exact checkpoint at the rollback target, or the nearest earlier
-  /// same-thread checkpoint a replay would rebuild from — the same lookup
-  /// restore_thread performs).  kTimeNever when nothing is in doubt.
-  /// Checkpoints strictly below the run-wide minimum of this value can
-  /// never be restored again and are safe to fossil-collect.
-  sim::Time speculation_floor() const;
-
-  /// Free checkpoints taken strictly before `gvt` that no future rollback
-  /// can need: replay bases of unresolved rollback targets and the latest
-  /// checkpoint of each live thread are always retained.  Returns the
-  /// number freed (also counted in stats().checkpoints_fossil_collected).
-  std::size_t fossil_collect(sim::Time gvt);
-
-  /// Times of every retained checkpoint (fossil-collection tests).
-  std::vector<sim::Time> checkpoint_times() const;
 
   // ---- unresolved dependencies ------------------------------------------
 
@@ -343,7 +316,7 @@ class SpeculativeProcess {
 
   // ---- rollback (4.1.3) ---------------------------------------------------
   void take_checkpoint(const ThreadCtx& t);
-  void rollback_to(const StateIndex& target, bool kill_target_thread);
+  void rollback_to(const StateIndex& target);
   /// `emit_discard` is false only for a rollback target that is about to be
   /// restored: its discarded compute is the kill-time total minus whatever
   /// the restored checkpoint retains, emitted by rollback_to afterwards.

@@ -173,7 +173,7 @@ void SpeculativeProcess::rollback_aborted_dependencies() {
       }
     }
     if (!found) break;
-    rollback_to(target, /*kill_target_thread=*/false);
+    rollback_to(target);
   }
 }
 
@@ -292,8 +292,7 @@ void SpeculativeProcess::kill_thread(std::uint32_t index,
   erase_thread(it);
 }
 
-void SpeculativeProcess::rollback_to(const StateIndex& target,
-                                     bool kill_target_thread) {
+void SpeculativeProcess::rollback_to(const StateIndex& target) {
   gc_stale_ = true;  // checkpoints, replay metadata and inputs are purged
 
   // Rollback distance: how many intervals the target thread is wound back.
@@ -303,13 +302,13 @@ void SpeculativeProcess::rollback_to(const StateIndex& target,
   }
 
   // Kill every thread created after the restore point; the target thread
-  // itself is restored (or killed too, for an own-guess abort at creation).
+  // itself is restored.
   std::vector<std::uint32_t> doomed;
   for (auto& [idx, t] : threads_) {
     if (t.created_at > target) {
       doomed.push_back(idx);
     } else if (idx == target.thread) {
-      doomed.push_back(idx);  // replaced by the checkpoint (or killed)
+      doomed.push_back(idx);  // replaced by the checkpoint
     }
   }
 
@@ -335,8 +334,8 @@ void SpeculativeProcess::rollback_to(const StateIndex& target,
   // The rollback target is restored from a checkpoint, not killed outright:
   // its discarded compute is whatever it accumulated beyond what the
   // restored checkpoint retains, so defer the accounting until after the
-  // restore.  (If the target is killed too, or the checkpoint turns out to
-  // be a zombie and gets dropped, the retained amount is simply zero.)
+  // restore.  (If the checkpoint turns out to be a zombie and gets dropped,
+  // the retained amount is simply zero.)
   sim::Time target_pre_compute = 0;
   ThreadCtx target_snapshot{};
   bool have_target = false;
@@ -351,22 +350,20 @@ void SpeculativeProcess::rollback_to(const StateIndex& target,
   }
   std::vector<GuessId> cascade;
   for (auto it = doomed.rbegin(); it != doomed.rend(); ++it) {
-    const bool is_target = *it == target.thread && !kill_target_thread;
+    const bool is_target = *it == target.thread;
     kill_thread(*it, cascade, /*emit_discard=*/!is_target);
   }
   if (!doomed.empty()) ++incarnation_;
 
-  if (!kill_target_thread) {
-    restore_thread(target);
-    if (have_target) {
-      sim::Time retained = 0;
-      if (auto tgt = threads_.find(target.thread); tgt != threads_.end()) {
-        retained = tgt->second.compute_ns;
-      }
-      if (target_pre_compute > retained) {
-        record_work_discarded(target_snapshot, target_pre_compute - retained,
-                              rollback_cause_);
-      }
+  restore_thread(target);
+  if (have_target) {
+    sim::Time retained = 0;
+    if (auto tgt = threads_.find(target.thread); tgt != threads_.end()) {
+      retained = tgt->second.compute_ns;
+    }
+    if (target_pre_compute > retained) {
+      record_work_discarded(target_snapshot, target_pre_compute - retained,
+                            rollback_cause_);
     }
   }
   max_thread_ = threads_.empty() ? 0 : threads_.rbegin()->first;
@@ -901,96 +898,6 @@ std::string SpeculativeProcess::RollbackSummary::to_string() const {
     out += std::to_string(targets[i]);
   }
   return out + "}";
-}
-
-// ---- GVT fossil collection --------------------------------------------
-
-namespace {
-
-/// The checkpoint restore_thread would rebuild `target` from: the exact
-/// entry at the target, or the nearest earlier same-thread checkpoint (the
-/// replay base).  Null when neither exists.
-const ThreadCtx* restore_base(
-    const std::map<StateIndex, ThreadCtx>& checkpoints,
-    const StateIndex& target, StateIndex* base_key) {
-  auto cp = checkpoints.find(target);
-  if (cp != checkpoints.end()) {
-    if (base_key != nullptr) *base_key = cp->first;
-    return &cp->second;
-  }
-  for (auto it = checkpoints.upper_bound(target);
-       it != checkpoints.begin();) {
-    --it;
-    if (it->first.thread == target.thread) {
-      if (base_key != nullptr) *base_key = it->first;
-      return &it->second;
-    }
-  }
-  return nullptr;
-}
-
-}  // namespace
-
-sim::Time SpeculativeProcess::speculation_floor() const {
-  sim::Time floor = sim::kTimeNever;
-  for (const auto& [entry, refs] : rollback_index_) {
-    const auto& [rb, g] = entry;
-    if (history_.status(g) != GuessStatus::kUnknown) continue;
-    const ThreadCtx* base = restore_base(checkpoints_, rb, nullptr);
-    // A missing base means the rollback would fail anyway (it cannot in a
-    // correct run); be conservative and pin the floor at zero.
-    floor = std::min(floor, base ? base->checkpointed_at : sim::Time{0});
-  }
-  return floor;
-}
-
-std::size_t SpeculativeProcess::fossil_collect(sim::Time gvt) {
-  // Checkpoints a future rollback can still restore from:  the replay base
-  // of every unresolved rollback target (exactly restore_thread's lookup),
-  // plus the latest checkpoint of each live thread — a dependency acquired
-  // later replays from there, whatever its target turns out to be.
-  std::set<StateIndex> needed;
-  for (const auto& [entry, refs] : rollback_index_) {
-    const auto& [rb, g] = entry;
-    if (history_.status(g) != GuessStatus::kUnknown) continue;
-    StateIndex base_key{};
-    if (restore_base(checkpoints_, rb, &base_key) != nullptr) {
-      needed.insert(base_key);
-    }
-  }
-  std::map<std::uint32_t, StateIndex> latest;
-  for (const auto& [key, snapshot] : checkpoints_) {
-    auto th = threads_.find(key.thread);
-    if (th == threads_.end() ||
-        th->second.phase == ThreadCtx::Phase::kTerminated) {
-      continue;
-    }
-    auto [it, inserted] = latest.try_emplace(key.thread, key);
-    if (!inserted && it->second < key) it->second = key;
-  }
-  for (const auto& [thread, key] : latest) needed.insert(key);
-
-  std::size_t freed = 0;
-  for (auto it = checkpoints_.begin(); it != checkpoints_.end();) {
-    if (it->second.checkpointed_at < gvt && needed.count(it->first) == 0) {
-      it = checkpoints_.erase(it);
-      ++freed;
-    } else {
-      ++it;
-    }
-  }
-  stats_.checkpoints_fossil_collected += freed;
-  if (freed > 0) gc_stale_ = true;
-  return freed;
-}
-
-std::vector<sim::Time> SpeculativeProcess::checkpoint_times() const {
-  std::vector<sim::Time> times;
-  times.reserve(checkpoints_.size());
-  for (const auto& [key, snapshot] : checkpoints_) {
-    times.push_back(snapshot.checkpointed_at);
-  }
-  return times;
 }
 
 }  // namespace ocsp::spec

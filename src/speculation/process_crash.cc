@@ -88,6 +88,18 @@ void SpeculativeProcess::observe_peer_incarnation(ProcessId src,
   process_arrivals();
 }
 
+namespace {
+
+// Governor tuning: the weight of each new outcome in a site's abort-rate
+// EWMA, the rate that demotes a site once it has kGovernorMinSamples
+// outcomes, and the rate at or below which a demoted site is promoted.
+constexpr double kGovernorAlpha = 0.25;
+constexpr double kGovernorDemoteThreshold = 0.65;
+constexpr double kGovernorPromoteThreshold = 0.25;
+constexpr std::uint64_t kGovernorMinSamples = 4;
+
+}  // namespace
+
 bool SpeculativeProcess::governor_blocks(const std::string& site) {
   if (!config_.governor_enabled) return false;
   auto it = governor_.find(site);
@@ -99,19 +111,17 @@ void SpeculativeProcess::governor_outcome(const std::string& site,
   if (!config_.governor_enabled) return;
   GovernorSite& s = governor_[site];
   const double sample = aborted ? 1.0 : 0.0;
-  s.ewma = (1.0 - config_.governor_alpha) * s.ewma +
-           config_.governor_alpha * sample;
+  s.ewma = (1.0 - kGovernorAlpha) * s.ewma + kGovernorAlpha * sample;
   ++s.samples;
-  if (!s.demoted &&
-      s.samples >= static_cast<std::uint64_t>(config_.governor_min_samples) &&
-      s.ewma >= config_.governor_demote_threshold) {
+  if (!s.demoted && s.samples >= kGovernorMinSamples &&
+      s.ewma >= kGovernorDemoteThreshold) {
     s.demoted = true;
     obs::Event ev = make_event(obs::EventKind::kGovernorDemote);
     ev.detail = site;
     record(std::move(ev));
     OCSP_DLOG << name_ << ": governor demoted site " << site
               << " (ewma=" << s.ewma << ")";
-  } else if (s.demoted && s.ewma <= config_.governor_promote_threshold) {
+  } else if (s.demoted && s.ewma <= kGovernorPromoteThreshold) {
     s.demoted = false;
     obs::Event ev = make_event(obs::EventKind::kGovernorPromote);
     ev.detail = site;

@@ -1,10 +1,70 @@
 #include "speculation/stats.h"
 
+#include <iterator>
 #include <sstream>
 
 #include "obs/metrics.h"
 
 namespace ocsp::spec {
+
+namespace {
+
+struct Counter {
+  const char* name;  ///< metric name, the same as the field's
+  std::uint64_t SpecStats::*field;
+};
+
+/// Every SpecStats counter, in declaration order: merge and export_to walk
+/// this one list.
+constexpr Counter kCounters[] = {
+    {"forks", &SpecStats::forks},
+    {"sequential_forks", &SpecStats::sequential_forks},
+    {"safe_forks", &SpecStats::safe_forks},
+    {"safe_oracle_violations", &SpecStats::safe_oracle_violations},
+    {"joins", &SpecStats::joins},
+    {"commits", &SpecStats::commits},
+    {"commute_commits", &SpecStats::commute_commits},
+    {"commute_forgiven_vars", &SpecStats::commute_forgiven_vars},
+    {"commute_oracle_violations", &SpecStats::commute_oracle_violations},
+    {"aborts_value_fault", &SpecStats::aborts_value_fault},
+    {"aborts_time_fault", &SpecStats::aborts_time_fault},
+    {"aborts_timeout", &SpecStats::aborts_timeout},
+    {"aborts_crash", &SpecStats::aborts_crash},
+    {"aborts_cascade", &SpecStats::aborts_cascade},
+    {"rollbacks", &SpecStats::rollbacks},
+    {"checkpoints", &SpecStats::checkpoints},
+    {"replays", &SpecStats::replays},
+    {"orphans_discarded", &SpecStats::orphans_discarded},
+    {"messages_redelivered", &SpecStats::messages_redelivered},
+    {"externals_buffered", &SpecStats::externals_buffered},
+    {"externals_released", &SpecStats::externals_released},
+    {"externals_discarded", &SpecStats::externals_discarded},
+    {"control_sent", &SpecStats::control_sent},
+    {"precedence_sent", &SpecStats::precedence_sent},
+    {"checkpoints_pruned", &SpecStats::checkpoints_pruned},
+    {"log_entries_pruned", &SpecStats::log_entries_pruned},
+    {"checkpoint_bytes_copied", &SpecStats::checkpoint_bytes_copied},
+    {"checkpoint_bytes_shared", &SpecStats::checkpoint_bytes_shared},
+    {"rollback_restore_bytes", &SpecStats::rollback_restore_bytes},
+    {"crashes", &SpecStats::crashes},
+    {"crash_recoveries", &SpecStats::crash_recoveries},
+    {"crash_messages_dropped", &SpecStats::crash_messages_dropped},
+    {"governor_demotions", &SpecStats::governor_demotions},
+    {"governor_promotions", &SpecStats::governor_promotions},
+    {"governor_sequential_forks", &SpecStats::governor_sequential_forks},
+};
+
+// SpecStats holds nothing but counters, so a field missing from the table
+// shows up as a size mismatch.
+static_assert(sizeof(SpecStats) ==
+                  std::size(kCounters) * sizeof(std::uint64_t),
+              "every SpecStats counter needs a kCounters entry");
+
+}  // namespace
+
+void SpecStats::merge(const SpecStats& o) {
+  for (const Counter& c : kCounters) this->*c.field += o.*c.field;
+}
 
 std::string SpecStats::to_string() const {
   std::ostringstream os;
@@ -18,7 +78,6 @@ std::string SpecStats::to_string() const {
      << " time=" << aborts_time_fault << " timeout=" << aborts_timeout
      << " crash=" << aborts_crash << " cascade=" << aborts_cascade << "]"
      << " rollbacks=" << rollbacks << " checkpoints=" << checkpoints
-     << " fossil=" << checkpoints_fossil_collected
      << " replays=" << replays << " orphans=" << orphans_discarded
      << " redelivered=" << messages_redelivered
      << " externals[buf=" << externals_buffered
@@ -36,42 +95,7 @@ std::string SpecStats::to_string() const {
 }
 
 void SpecStats::export_to(obs::MetricsRegistry& m) const {
-  m.counter("forks") += forks;
-  m.counter("sequential_forks") += sequential_forks;
-  m.counter("safe_forks") += safe_forks;
-  m.counter("safe_oracle_violations") += safe_oracle_violations;
-  m.counter("joins") += joins;
-  m.counter("commits") += commits;
-  m.counter("commute_commits") += commute_commits;
-  m.counter("commute_forgiven_vars") += commute_forgiven_vars;
-  m.counter("commute_oracle_violations") += commute_oracle_violations;
-  m.counter("aborts_value_fault") += aborts_value_fault;
-  m.counter("aborts_time_fault") += aborts_time_fault;
-  m.counter("aborts_timeout") += aborts_timeout;
-  m.counter("aborts_crash") += aborts_crash;
-  m.counter("aborts_cascade") += aborts_cascade;
-  m.counter("rollbacks") += rollbacks;
-  m.counter("checkpoints") += checkpoints;
-  m.counter("replays") += replays;
-  m.counter("orphans_discarded") += orphans_discarded;
-  m.counter("messages_redelivered") += messages_redelivered;
-  m.counter("externals_buffered") += externals_buffered;
-  m.counter("externals_released") += externals_released;
-  m.counter("externals_discarded") += externals_discarded;
-  m.counter("control_sent") += control_sent;
-  m.counter("precedence_sent") += precedence_sent;
-  m.counter("checkpoints_pruned") += checkpoints_pruned;
-  m.counter("log_entries_pruned") += log_entries_pruned;
-  m.counter("checkpoints_fossil_collected") += checkpoints_fossil_collected;
-  m.counter("checkpoint_bytes_copied") += checkpoint_bytes_copied;
-  m.counter("checkpoint_bytes_shared") += checkpoint_bytes_shared;
-  m.counter("rollback_restore_bytes") += rollback_restore_bytes;
-  m.counter("crashes") += crashes;
-  m.counter("crash_recoveries") += crash_recoveries;
-  m.counter("crash_messages_dropped") += crash_messages_dropped;
-  m.counter("governor_demotions") += governor_demotions;
-  m.counter("governor_promotions") += governor_promotions;
-  m.counter("governor_sequential_forks") += governor_sequential_forks;
+  for (const Counter& c : kCounters) m.counter(c.name) += this->*c.field;
 }
 
 }  // namespace ocsp::spec

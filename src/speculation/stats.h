@@ -51,9 +51,6 @@ struct SpecStats {
   std::uint64_t precedence_sent = 0;
   std::uint64_t checkpoints_pruned = 0;
   std::uint64_t log_entries_pruned = 0;
-  /// Checkpoints freed by the parallel executor's GVT fossil collector
-  /// (disjoint from checkpoints_pruned, which counts gc_resolved_state).
-  std::uint64_t checkpoints_fossil_collected = 0;
 
   /// State-copy accounting (checkpoints, fork-time machine copies, and
   /// join re-execution state adoption).  Under StateStrategy::kDeepCopy
@@ -95,44 +92,8 @@ struct SpecStats {
 
   friend bool operator==(const SpecStats&, const SpecStats&) = default;
 
-  void merge(const SpecStats& o) {
-    forks += o.forks;
-    sequential_forks += o.sequential_forks;
-    safe_forks += o.safe_forks;
-    safe_oracle_violations += o.safe_oracle_violations;
-    joins += o.joins;
-    commits += o.commits;
-    commute_commits += o.commute_commits;
-    commute_forgiven_vars += o.commute_forgiven_vars;
-    commute_oracle_violations += o.commute_oracle_violations;
-    aborts_value_fault += o.aborts_value_fault;
-    aborts_time_fault += o.aborts_time_fault;
-    aborts_timeout += o.aborts_timeout;
-    aborts_crash += o.aborts_crash;
-    aborts_cascade += o.aborts_cascade;
-    rollbacks += o.rollbacks;
-    checkpoints += o.checkpoints;
-    replays += o.replays;
-    orphans_discarded += o.orphans_discarded;
-    messages_redelivered += o.messages_redelivered;
-    externals_buffered += o.externals_buffered;
-    externals_released += o.externals_released;
-    externals_discarded += o.externals_discarded;
-    control_sent += o.control_sent;
-    precedence_sent += o.precedence_sent;
-    checkpoints_pruned += o.checkpoints_pruned;
-    log_entries_pruned += o.log_entries_pruned;
-    checkpoints_fossil_collected += o.checkpoints_fossil_collected;
-    checkpoint_bytes_copied += o.checkpoint_bytes_copied;
-    checkpoint_bytes_shared += o.checkpoint_bytes_shared;
-    rollback_restore_bytes += o.rollback_restore_bytes;
-    crashes += o.crashes;
-    crash_recoveries += o.crash_recoveries;
-    crash_messages_dropped += o.crash_messages_dropped;
-    governor_demotions += o.governor_demotions;
-    governor_promotions += o.governor_promotions;
-    governor_sequential_forks += o.governor_sequential_forks;
-  }
+  /// Add every counter of `o` into this one.
+  void merge(const SpecStats& o);
 
   std::string to_string() const;
 

@@ -75,7 +75,8 @@ TEST(Determinism, StatsIdenticalAcrossReruns) {
   auto scenario = core::db_fs_scenario(p);
   auto a = baseline::run_scenario(scenario, true);
   auto b = baseline::run_scenario(scenario, true);
-  EXPECT_EQ(a.stats.to_string(), b.stats.to_string());
+  EXPECT_TRUE(a.stats == b.stats) << a.stats.to_string() << "\n"
+                                  << b.stats.to_string();
   EXPECT_EQ(a.last_completion, b.last_completion);
   std::string why;
   EXPECT_TRUE(trace::compare_traces(a.trace, b.trace, &why)) << why;

@@ -9,8 +9,8 @@
 //
 // The GVT tests assert the fencing invariants directly from the window
 // audit trail: no drained straggler ever lands below the GVT that fenced
-// it, GVT advances strictly, fossil collection stays below the fence, and
-// a single shard reproduces the sequential recorder stream byte for byte.
+// it, GVT advances strictly, and a single shard reproduces the sequential
+// recorder stream byte for byte.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -162,16 +162,11 @@ void expect_same_run(const std::string& label,
       << label << ": " << why;
   EXPECT_EQ(ref.last_completion, par.result.last_completion) << label;
   EXPECT_EQ(ref.all_completed, par.result.all_completed) << label;
-  // Protocol counters must agree action for action.  (Stats are not
-  // compared wholesale: checkpoints_fossil_collected is the parallel
-  // executor's own and stays zero sequentially.)
-  EXPECT_EQ(ref.stats.forks, par.result.stats.forks) << label;
-  EXPECT_EQ(ref.stats.joins, par.result.stats.joins) << label;
-  EXPECT_EQ(ref.stats.commits, par.result.stats.commits) << label;
-  EXPECT_EQ(ref.stats.total_aborts(), par.result.stats.total_aborts())
-      << label;
-  EXPECT_EQ(ref.stats.rollbacks, par.result.stats.rollbacks) << label;
-  EXPECT_EQ(ref.stats.control_sent, par.result.stats.control_sent) << label;
+  // Protocol counters must agree action for action: both executors free
+  // speculation state through the same per-process sweep.
+  EXPECT_TRUE(ref.stats == par.result.stats)
+      << label << "\n  sequential: " << ref.stats.to_string()
+      << "\n  parallel:   " << par.result.stats.to_string();
   EXPECT_EQ(ref.network.messages_sent, par.result.network.messages_sent)
       << label;
   EXPECT_EQ(ref.network.messages_delivered,
@@ -286,75 +281,12 @@ TEST(ParallelGvt, FenceNeverCommitsPastAStraggler) {
       EXPECT_GE(w.gvt, prev_gvt + run.lookahead);
     }
     EXPECT_EQ(w.end, w.gvt + run.lookahead);
-    // The fossil fence never outruns GVT.
-    EXPECT_LE(w.fossil_floor, w.gvt);
     first = false;
     prev_end = w.end;
     prev_gvt = w.gvt;
   }
   const auto& m = run.result.metrics;
   EXPECT_EQ(m.counter_or("gvt_windows"), run.windows.size());
-  EXPECT_EQ(m.counter_or("gvt_advances"), run.windows.size());
-}
-
-TEST(ParallelGvt, FossilCollectionStaysBelowTheFence) {
-  // Heavily speculative run so checkpoints actually accumulate and get
-  // fossil-collected at the fences.
-  core::AbortStormParams p;
-  p.calls = 30;
-  p.hit_period = 4;
-  auto scenario = core::abort_storm_scenario(p);
-  const auto run =
-      exec::run_scenario_parallel(scenario, 2, true, 0.0, kDeadline);
-  std::uint64_t freed = 0;
-  for (const auto& w : run.windows) {
-    freed += w.checkpoints_freed;
-    EXPECT_LE(w.fossil_floor, w.gvt);
-  }
-  EXPECT_EQ(freed, run.result.stats.checkpoints_fossil_collected);
-  // The safety proof for "freed only below the fence" is the oracle sweep
-  // above (fossil collection on + traces still exact); here also pin that
-  // the run both collected something and still committed everything.
-  EXPECT_GT(run.result.stats.checkpoints, 0u);
-  EXPECT_TRUE(run.result.all_completed);
-}
-
-TEST(ParallelGvt, SpeculationFloorHoldsReplayBases) {
-  // Direct unit probe of the fossil collector: run sequentially to a
-  // mid-run deadline, then collect at the speculation floor and check no
-  // surviving-checkpoint invariant is violated.
-  core::AbortStormParams p;
-  p.calls = 20;
-  p.hit_period = 3;
-  auto scenario = core::abort_storm_scenario(p);
-  scenario.options.per_link_net = true;
-  auto rt = baseline::make_runtime(scenario, true);
-  rt->run(sim::milliseconds(2));
-  for (ProcessId id : rt->all_process_ids()) {
-    auto& proc = rt->process(id);
-    const sim::Time floor = proc.speculation_floor();
-    const sim::Time fence =
-        std::min(floor, rt->scheduler().now());
-    const auto before = proc.checkpoint_times();
-    const std::size_t freed = proc.fossil_collect(fence);
-    const auto after = proc.checkpoint_times();
-    EXPECT_EQ(before.size() - freed, after.size());
-    // Everything freed was strictly below the fence: all survivors at or
-    // above it are the originals.
-    std::size_t above_before = 0, above_after = 0;
-    for (sim::Time t : before) above_before += t >= fence ? 1 : 0;
-    for (sim::Time t : after) above_after += t >= fence ? 1 : 0;
-    EXPECT_EQ(above_before, above_after);
-    // Collecting twice at the same fence is a no-op.
-    EXPECT_EQ(proc.fossil_collect(fence), 0u);
-  }
-  // The rest of the run must still be correct after collection.
-  rt->run(kDeadline);
-  const baseline::RunResult ref =
-      sequential_reference(core::abort_storm_scenario(p), true);
-  std::string why;
-  EXPECT_TRUE(trace::compare_traces(ref.trace, rt->committed_trace(), &why))
-      << why;
 }
 
 // ---------------------------------------------------------------------------
