@@ -46,6 +46,20 @@ benchmark::Counter time_per_event(const baseline::RunResult& result) {
           benchmark::Counter::kInvert);
 }
 
+/// Elements the speculation bookkeeping visits per kernel event, summed
+/// over processes (one untimed run): flat in depth when fork, commit,
+/// control handling and GC cost what each event changes.
+double bookkeeping_per_event(const baseline::Scenario& scenario) {
+  auto rt = baseline::make_runtime(scenario, true);
+  rt->run();
+  std::uint64_t visits = 0;
+  for (ProcessId id : rt->all_process_ids()) {
+    visits += rt->process(id).bookkeeping_visits();
+  }
+  return static_cast<double>(visits) /
+         static_cast<double>(rt->metrics().counter_or("sim_events_fired"));
+}
+
 void BM_StreamDepth(benchmark::State& state) {
   const int lines = static_cast<int>(state.range(0));
   baseline::RunResult result;
@@ -57,9 +71,11 @@ void BM_StreamDepth(benchmark::State& state) {
   set_counters(state, result);
   state.SetItemsProcessed(state.iterations() * lines);
   state.counters["time_per_event"] = time_per_event(result);
+  state.counters["bookkeeping_per_event"] =
+      bookkeeping_per_event(core::putline_scenario(params_for(lines)));
 }
 // 256 and 1024 lines extend the depth curve past the report's table; the
-// 1024 point runs for seconds per iteration.
+// 1024 point runs for about 0.1 s per iteration.
 BENCHMARK(BM_StreamDepth)
     ->Arg(4)
     ->Arg(16)

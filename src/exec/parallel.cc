@@ -163,7 +163,6 @@ sim::Time ParallelRuntime::run(sim::Time deadline) {
   start(options_.fault_plan);
   start_workers();
 
-  std::vector<std::uint64_t> prev_fired(shards_.size(), 0);
   for (;;) {
     // (1) Drain cross-shard inboxes.  Workers are parked at the barrier,
     // so touching shard schedulers here is single-threaded.
@@ -193,14 +192,7 @@ sim::Time ParallelRuntime::run(sim::Time deadline) {
                               ? gvt + lookahead_
                               : std::min(gvt + lookahead_, deadline + 1);
     run_window(end - 1);
-
-    std::uint64_t fired = 0;
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      const std::uint64_t total = shards_[i]->scheduler().fired_count();
-      fired += total - prev_fired[i];
-      prev_fired[i] = total;
-    }
-    windows_.push_back(WindowStats{gvt, end, min_drained, fired});
+    windows_.push_back(WindowStats{gvt, end, min_drained});
   }
 
   if (deadline != sim::kTimeNever) return deadline;

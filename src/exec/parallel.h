@@ -126,7 +126,6 @@ struct WindowStats {
   /// window's barrier (kTimeNever if none); never below `gvt` — the
   /// straggler-safety invariant.
   sim::Time min_drained_delivery = sim::kTimeNever;
-  std::uint64_t fired = 0;  ///< events fired across all shards
 };
 
 class ParallelRuntime final : public spec::ProcessTable {

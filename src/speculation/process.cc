@@ -29,10 +29,12 @@ SpeculativeProcess::SpeculativeProcess(Host& host, const ProcessTable& table,
                            rng_.split());
   t.created_at = StateIndex{0, 0, 0};
   threads_.emplace(0u, std::move(t));
+  live_threads_ = 1;
 }
 
 void SpeculativeProcess::start() {
   ThreadCtx& t0 = threads_.at(0);
+  note_settled(t0);
   take_checkpoint(t0);
   // Move past the checkpoint's interval so no acceptance rollback point can
   // collide with the creation checkpoint key (the two restore paths differ:
@@ -204,11 +206,7 @@ SpeculativeProcess::checkpoint_envs() const {
 }
 
 std::size_t SpeculativeProcess::live_thread_count() const {
-  std::size_t n = 0;
-  for (const auto& [idx, t] : threads_) {
-    if (t.phase != ThreadCtx::Phase::kTerminated) ++n;
-  }
-  return n;
+  return live_threads_;
 }
 
 const ThreadCtx* SpeculativeProcess::thread(std::uint32_t index) const {
@@ -255,7 +253,7 @@ bool SpeculativeProcess::handle_effect(ThreadCtx& t, csp::Effect effect) {
     case K::kCall: {
       const std::int64_t reqid = next_reqid_++;
       t.outstanding_reqid = reqid;
-      t.phase = ThreadCtx::Phase::kAwaitReply;
+      set_phase(t, ThreadCtx::Phase::kAwaitReply);
       outstanding_calls_[reqid] = t.index;
       trace::ObservableEvent ev;
       ev.kind = trace::ObservableEvent::Kind::kSend;
@@ -281,7 +279,7 @@ bool SpeculativeProcess::handle_effect(ThreadCtx& t, csp::Effect effect) {
       return true;
     }
     case K::kReceive: {
-      t.phase = ThreadCtx::Phase::kAwaitMessage;
+      set_phase(t, ThreadCtx::Phase::kAwaitMessage);
       process_arrivals();
       return false;
     }
@@ -309,7 +307,7 @@ bool SpeculativeProcess::handle_effect(ThreadCtx& t, csp::Effect effect) {
       return true;
     }
     case K::kCompute: {
-      t.phase = ThreadCtx::Phase::kAwaitCompute;
+      set_phase(t, ThreadCtx::Phase::kAwaitCompute);
       const std::uint32_t idx = t.index;
       const sim::Time duration = effect.duration;
       host_.on_compute(duration);
@@ -330,7 +328,7 @@ bool SpeculativeProcess::handle_effect(ThreadCtx& t, csp::Effect effect) {
             }
             record(std::move(ev));
             th.machine.resume();
-            th.phase = ThreadCtx::Phase::kRunning;
+            set_phase(th, ThreadCtx::Phase::kRunning);
             schedule_step(idx);
           });
       return false;
@@ -343,7 +341,7 @@ bool SpeculativeProcess::handle_effect(ThreadCtx& t, csp::Effect effect) {
       if (t.has_pending_join) {
         do_join(t);
       } else {
-        t.phase = ThreadCtx::Phase::kDoneWaitGuard;
+        set_phase(t, ThreadCtx::Phase::kDoneWaitGuard);
         obs::Event ev = make_event(obs::EventKind::kThreadBlocked);
         ev.thread = t.index;
         ev.interval = t.interval;
@@ -411,10 +409,14 @@ void SpeculativeProcess::record_event(ThreadCtx& t,
   if (!replaying_ && flush_ready(t)) flush_events(t);
 }
 
-bool SpeculativeProcess::flush_ready(const ThreadCtx& t) const {
+bool SpeculativeProcess::flush_ready(const ThreadCtx& t) {
   if (!t.guard.empty()) return false;
-  for (const auto& [idx, other] : threads_) {
+  // Settled threads are terminated and flushed; an unsettled one below t
+  // passes only if all it lacks is an empty guard.
+  for (std::uint32_t idx : unsettled_) {
     if (idx >= t.index) break;
+    ++bookkeeping_visits_;
+    const ThreadCtx& other = threads_.at(idx);
     if (other.phase != ThreadCtx::Phase::kTerminated ||
         other.flushed_count < other.event_log.size()) {
       return false;
@@ -446,6 +448,7 @@ void SpeculativeProcess::flush_events(ThreadCtx& t) {
     }
     ++t.flushed_count;
   }
+  if (t.phase == ThreadCtx::Phase::kTerminated) note_settled(t);
 }
 
 void SpeculativeProcess::flush_logs() {
@@ -453,34 +456,41 @@ void SpeculativeProcess::flush_logs() {
   // thread n's events all precede thread n+1's.  Stop at the first thread
   // that is not fully done — later threads' events must stay buffered even
   // when their own guard is empty (a SAFE fork's right thread runs
-  // unguarded while the left thread is still producing events).
-  for (auto& [idx, t] : threads_) {
+  // unguarded while the left thread is still producing events).  Settled
+  // threads have nothing to flush and never stop the walk.
+  for (auto it = unsettled_.begin(); it != unsettled_.end();) {
+    ++bookkeeping_visits_;
+    ThreadCtx& t = threads_.at(*it);
     if (!t.guard.empty()) break;
-    flush_events(t);
+    flush_events(t);  // may settle t, erasing it from unsettled_
     if (t.phase != ThreadCtx::Phase::kTerminated) break;
+    it = unsettled_.upper_bound(t.index);
   }
 }
 
 void SpeculativeProcess::check_completion() {
   if (completed_) return;
-  for (auto& [idx, t] : threads_) {
-    if (t.phase == ThreadCtx::Phase::kDoneWaitGuard && t.guard.empty()) {
-      terminate_thread(t);
-      program_finished_ = true;
-      obs::Event ev = make_event(obs::EventKind::kThreadResolved);
-      ev.thread = t.index;
-      ev.interval = t.interval;
-      record(std::move(ev));
+  for (auto it = done_waiting_.begin(); it != done_waiting_.end();) {
+    ++bookkeeping_visits_;
+    ThreadCtx& t = threads_.at(*it);
+    if (!t.guard.empty()) {
+      ++it;
+      continue;
     }
+    terminate_thread(t);  // leaves done_waiting_
+    it = done_waiting_.upper_bound(t.index);
+    program_finished_ = true;
+    obs::Event ev = make_event(obs::EventKind::kThreadResolved);
+    ev.thread = t.index;
+    ev.interval = t.interval;
+    record(std::move(ev));
   }
   if (!program_finished_) return;
   // The program body finished; completion needs every thread terminated.
   // Under speculation that is already true (join guesses committed, which
   // is what emptied the final thread's guard), but a SAFE fork's left
   // thread may still be running S1 and joins later.
-  for (const auto& [idx, t] : threads_) {
-    if (t.phase != ThreadCtx::Phase::kTerminated) return;
-  }
+  if (live_threads_ != 0) return;
   completed_ = true;
   completion_time_ = host_.scheduler().now();
   record(make_event(obs::EventKind::kProcessCompleted));
@@ -518,8 +528,16 @@ void SpeculativeProcess::take_checkpoint(const ThreadCtx& t) {
     ev.b = deep ? 0 : payload;
     record(std::move(ev));
   }
-  checkpoints_.insert_or_assign(current_index(t), std::move(snapshot));
-  gc_stale_ = true;
+  const StateIndex at = current_index(t);
+  checkpoints_.insert_or_assign(at, std::move(snapshot));
+  new_checkpoints_.push_back(at);
+  note_state(at);
+}
+
+void SpeculativeProcess::note_state(const StateIndex& at) {
+  // A thread's state is keyed at its current index, which never precedes
+  // its earlier state, so the first key is a floor for all of it.
+  state_floor_.try_emplace(at.thread, at);
 }
 
 // ---------------------------------------------------------------------------
@@ -529,33 +547,100 @@ void SpeculativeProcess::take_checkpoint(const ThreadCtx& t) {
 ThreadCtx& SpeculativeProcess::insert_thread(ThreadCtx t) {
   OCSP_CHECK_MSG(threads_.count(t.index) == 0,
                  "thread index reuse without kill");
-  for (const auto& [g, at] : t.rollbacks) rollback_index_.add(t.index, g, at);
-  gc_stale_ = true;
+  for (const auto& [g, at] : t.rollbacks) {
+    ++bookkeeping_visits_;
+    rollback_index_.add(t.index, g, at);
+    // A restored checkpoint can carry a guess resolved since it was taken.
+    if (history_.status(g) != GuessStatus::kUnknown) {
+      index_took_resolved_ = true;
+    }
+  }
   const std::uint32_t index = t.index;
-  return threads_.emplace(index, std::move(t)).first->second;
+  ThreadCtx& th = threads_.emplace(index, std::move(t)).first->second;
+  if (auto* set = phase_set(th.phase)) set->insert(index);
+  if (th.phase != ThreadCtx::Phase::kTerminated) ++live_threads_;
+  note_settled(th);
+  return th;
 }
 
 void SpeculativeProcess::erase_thread(
     std::map<std::uint32_t, ThreadCtx>::iterator it) {
   const ThreadCtx& t = it->second;
-  for (const auto& [g, at] : t.rollbacks) {
-    rollback_index_.remove(t.index, g, at);
-  }
-  gc_stale_ = true;
+  for (const auto& [g, at] : t.rollbacks) unindex_rollback(t.index, g, at);
+  if (auto* set = phase_set(t.phase)) set->erase(t.index);
+  if (t.phase != ThreadCtx::Phase::kTerminated) --live_threads_;
+  unsettled_.erase(t.index);
+  dirty_threads_.insert(t.index);  // gone: its state may be unreachable
   threads_.erase(it);
 }
 
 void SpeculativeProcess::terminate_thread(ThreadCtx& t) {
-  t.phase = ThreadCtx::Phase::kTerminated;
-  gc_stale_ = true;
+  set_phase(t, ThreadCtx::Phase::kTerminated);
+  dirty_threads_.insert(t.index);
+}
+
+std::set<std::uint32_t>* SpeculativeProcess::phase_set(
+    ThreadCtx::Phase phase) {
+  switch (phase) {
+    case ThreadCtx::Phase::kJoinWait: return &join_waiting_;
+    case ThreadCtx::Phase::kAwaitMessage: return &receiving_;
+    case ThreadCtx::Phase::kDoneWaitGuard: return &done_waiting_;
+    default: return nullptr;
+  }
+}
+
+void SpeculativeProcess::set_phase(ThreadCtx& t, ThreadCtx::Phase phase) {
+  if (t.phase == phase) return;
+  if (auto* set = phase_set(t.phase)) set->erase(t.index);
+  if (auto* set = phase_set(phase)) set->insert(t.index);
+  if (phase == ThreadCtx::Phase::kJoinWait) join_candidates_.insert(t.index);
+  t.phase = phase;
+  if (phase == ThreadCtx::Phase::kTerminated) {
+    --live_threads_;
+    note_settled(t);
+  }
+}
+
+void SpeculativeProcess::note_settled(const ThreadCtx& t) {
+  const bool settled = t.phase == ThreadCtx::Phase::kTerminated &&
+                       t.guard.empty() &&
+                       t.flushed_count == t.event_log.size();
+  if (settled) {
+    unsettled_.erase(t.index);
+  } else {
+    unsettled_.insert(t.index);
+  }
+}
+
+void SpeculativeProcess::retire_settled_threads() {
+  // A settled thread is never killed or restored: its events are
+  // committed, and so is every guess it depended on.  Below the lowest
+  // unsettled thread every thread is settled, so no later rollback point
+  // precedes its creation.  Once no rollback entry targets it, erasing it
+  // changes nothing any check reads.
+  for (auto it = threads_.begin();
+       it != threads_.end() &&
+       (unsettled_.empty() || it->first < *unsettled_.begin());) {
+    ++bookkeeping_visits_;
+    if (rollback_index_.targets(it->first)) {
+      ++it;
+      continue;
+    }
+    retired_end_ = std::max(retired_end_, it->first + 1);
+    retired_created_max_ = std::max(retired_created_max_,
+                                    it->second.created_at);
+    compute_timers_.erase(it->first);
+    erase_thread(it++);
+  }
 }
 
 void SpeculativeProcess::set_rollback(ThreadCtx& t, const GuessId& g,
                                       const StateIndex& at) {
+  ++bookkeeping_visits_;
   auto [it, inserted] = t.rollbacks.try_emplace(g, at);
   if (!inserted) {
     if (it->second == at) return;
-    rollback_index_.remove(t.index, g, it->second);
+    unindex_rollback(t.index, g, it->second);
     it->second = at;
   }
   rollback_index_.add(t.index, g, at);
@@ -564,8 +649,16 @@ void SpeculativeProcess::set_rollback(ThreadCtx& t, const GuessId& g,
 void SpeculativeProcess::erase_rollback(ThreadCtx& t, const GuessId& g) {
   auto it = t.rollbacks.find(g);
   if (it == t.rollbacks.end()) return;
-  rollback_index_.remove(t.index, g, it->second);
+  unindex_rollback(t.index, g, it->second);
   t.rollbacks.erase(it);
+}
+
+void SpeculativeProcess::unindex_rollback(std::uint32_t thread,
+                                          const GuessId& g,
+                                          const StateIndex& at) {
+  ++bookkeeping_visits_;
+  // A thread no entry targets any more may hold state the GC can prune.
+  if (rollback_index_.remove(thread, g, at)) dirty_threads_.insert(at.thread);
 }
 
 }  // namespace ocsp::spec

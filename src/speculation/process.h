@@ -54,6 +54,34 @@ namespace ocsp::spec {
 
 class ProcessTable;
 
+/// A thread's append-only observable-event log.  Copies share storage, so
+/// a checkpoint copies a handle instead of every event still in doubt:
+/// each copy sees its own length of the shared buffer, and a copy that
+/// another one has outgrown (a thread restored by a rollback) takes its
+/// own buffer when it next appends.
+class EventLog {
+ public:
+  std::size_t size() const { return size_; }
+  const trace::ObservableEvent& operator[](std::size_t i) const {
+    return (*events_)[i];
+  }
+  void push_back(trace::ObservableEvent event) {
+    if (!events_) {
+      events_ = std::make_shared<std::vector<trace::ObservableEvent>>();
+    } else if (events_->size() != size_) {
+      events_ = std::make_shared<std::vector<trace::ObservableEvent>>(
+          events_->begin(),
+          events_->begin() + static_cast<std::ptrdiff_t>(size_));
+    }
+    events_->push_back(std::move(event));
+    ++size_;
+  }
+
+ private:
+  std::shared_ptr<std::vector<trace::ObservableEvent>> events_;
+  std::size_t size_ = 0;
+};
+
 /// One logical thread of a process.  Copyable: a checkpoint is a copy of
 /// the whole ThreadCtx (machine, guard, rollback map, event log).  The
 /// commit dependency graph belongs to the process (PRECEDENCE edges relate
@@ -111,7 +139,7 @@ struct ThreadCtx {
   /// Logical observable-event log of this thread; events with position
   /// < flushed_count are already in the process's committed log (and, for
   /// external outputs, physically released).
-  std::vector<trace::ObservableEvent> event_log;
+  EventLog event_log;
   std::size_t flushed_count = 0;
 
   /// Outgoing data messages this thread has produced (calls, sends,
@@ -177,6 +205,9 @@ class SpeculativeProcess {
 
   /// Introspection for tests.
   std::size_t live_thread_count() const;
+  /// Threads in the table: the live ones plus terminated ones not yet
+  /// retired.
+  std::size_t tabled_thread_count() const { return threads_.size(); }
   const ThreadCtx* thread(std::uint32_t index) const;
   std::uint32_t current_incarnation() const { return incarnation_; }
   bool crashed() const { return crashed_; }
@@ -219,6 +250,13 @@ class SpeculativeProcess {
   std::size_t step_flag_count() const { return step_scheduled_.size(); }
   std::size_t safe_claim_count() const { return safe_claimed_.size(); }
 
+  /// Elements the speculation bookkeeping has visited so far: thread-table
+  /// entries its loops walk, rollback entries indexed or scrubbed, index
+  /// entries the GC reads, and checkpoints, replay records and logged
+  /// inputs the GC sweep examines (growth tests divide it by kernel
+  /// events).
+  std::uint64_t bookkeeping_visits() const { return bookkeeping_visits_; }
+
  private:
   // The table wires incarnation tags into the transport and orchestrates
   // crash/restart.
@@ -231,6 +269,8 @@ class SpeculativeProcess {
 
   // ---- fork / join (4.2.1, 4.2.5) --------------------------------------
   void do_fork(ThreadCtx& t, const csp::ForkStmt& f);
+  /// Give a forked child the parent's rollback entries it needs.
+  void inherit_rollbacks(const ThreadCtx& parent, ThreadCtx& child);
   void do_join(ThreadCtx& left);
   void do_join_inner(ThreadCtx& left);
   void finalize_join_commit(ThreadCtx& left);
@@ -273,7 +313,12 @@ class SpeculativeProcess {
   void commit_guess_local(const GuessId& g);
   void abort_guess_local(const GuessId& g);
   void abort_own_guess(const GuessId& g);
+  /// Resolve every join that can now commit or re-execute, lowest index
+  /// first, then flush, collect and check completion.
   void after_guard_change();
+  /// The lowest join-waiter that can commit (guard empty) or re-execute
+  /// its right thread (guess aborted, right thread gone), if any.
+  ThreadCtx* next_ready_join();
   /// Roll back every thread depending on a history-aborted guess to a
   /// fixpoint (the body of abort_guess_local, also run after incarnation
   /// observations mark guesses implicitly aborted).
@@ -340,9 +385,22 @@ class SpeculativeProcess {
   /// Remove a thread from the table and the index.
   void erase_thread(std::map<std::uint32_t, ThreadCtx>::iterator it);
   void terminate_thread(ThreadCtx& t);
+  /// The one way a tabled thread changes phase: keeps the per-phase sets
+  /// and the live count in step.
+  void set_phase(ThreadCtx& t, ThreadCtx::Phase phase);
+  /// The per-phase set a thread in `phase` belongs to, if any.
+  std::set<std::uint32_t>* phase_set(ThreadCtx::Phase phase);
+  /// Re-file `t` in unsettled_ after its phase, guard or flush point moved.
+  void note_settled(const ThreadCtx& t);
+  /// Erase the settled threads below the lowest unsettled one that no
+  /// rollback entry targets: nothing reads them again (DESIGN §9).
+  void retire_settled_threads();
   /// t.rollbacks[g] = at, and the same in the index.
   void set_rollback(ThreadCtx& t, const GuessId& g, const StateIndex& at);
   void erase_rollback(ThreadCtx& t, const GuessId& g);
+  /// Drop `thread`'s entry g -> at from the index.
+  void unindex_rollback(std::uint32_t thread, const GuessId& g,
+                        const StateIndex& at);
 
   // ---- bookkeeping ---------------------------------------------------------
   StateIndex current_index(const ThreadCtx& t) const;
@@ -350,11 +408,29 @@ class SpeculativeProcess {
   /// possible future rollback can reach (everything strictly before the
   /// earliest rollback point of any still-unresolved dependency).  Keeps a
   /// long-running server's speculative state bounded by the window of
-  /// in-doubt guesses instead of the run length.  The sweep runs only when
-  /// its inputs changed since the last one; the per-guess maps of resolved
+  /// in-doubt guesses instead of the run length.  The sweep visits only
+  /// what changed since the last one; the per-guess maps of resolved
   /// guesses are dropped on every call.
   void gc_resolved_state();
-  void sweep_resolved_state(const RollbackSummary& summary);
+  /// The index may hold entries of resolved guesses (one aborted since the
+  /// index was last checked, or one restored from a checkpoint), so its
+  /// first entry and target counts are not yet the summary's.
+  bool index_may_hold_resolved() const;
+  /// rollback_summary() filtered entry by entry; `resolved` tells whether
+  /// any entry was skipped.
+  RollbackSummary filtered_summary(bool& resolved) const;
+  /// Prune what became unreachable since the last sweep: all state of
+  /// the threads that died or lost their last target, if now dead and
+  /// untargeted, and each thread's state below its latest checkpoint at or
+  /// before the low-water mark.  Targets are `summary.targets` when
+  /// `filtered`, else the index's.
+  void sweep_resolved_state(const RollbackSummary& summary, bool filtered);
+  /// Drop `thread`'s checkpoints, replay records and logged inputs keyed
+  /// in [from, to), where `from` and `to` name `thread`.
+  void prune_thread_state(std::uint32_t thread, const StateIndex& from,
+                          const StateIndex& to);
+  /// A checkpoint, replay record or logged input was keyed at `at`.
+  void note_state(const StateIndex& at);
   void record_event(ThreadCtx& t, trace::ObservableEvent event);
   void flush_events(ThreadCtx& t);
   void flush_logs();
@@ -363,7 +439,7 @@ class SpeculativeProcess {
   /// fully flushed — committed traces must follow sequential program order.
   /// (Speculative-mode guards imply the second condition; the SAFE fast
   /// path, whose right thread runs unguarded beside the left, does not.)
-  bool flush_ready(const ThreadCtx& t) const;
+  bool flush_ready(const ThreadCtx& t);
   void check_completion();
   ProcessId resolve(const std::string& name) const;
 
@@ -402,6 +478,27 @@ class SpeculativeProcess {
   /// guesses; kept in step by insert_thread, erase_thread, set_rollback and
   /// erase_rollback.
   RollbackIndex rollback_index_;
+  /// Tabled threads by phase (kJoinWait, kAwaitMessage, kDoneWaitGuard),
+  /// ascending, so the join, receive and completion checks visit only the
+  /// threads they can act on.
+  std::set<std::uint32_t> join_waiting_;
+  std::set<std::uint32_t> receiving_;
+  std::set<std::uint32_t> done_waiting_;
+  /// Join-waiters that may have become ready to resolve (guard emptied,
+  /// guess aborted) since after_guard_change last looked; a kill may free
+  /// any waiter's right-thread slot, so it has every waiter looked at.
+  std::set<std::uint32_t> join_candidates_;
+  bool join_rescan_ = false;
+  /// Tabled threads not yet settled (terminated, guard empty, every event
+  /// flushed).  Flushing stops at the lowest of them, and threads below it
+  /// retire once untargeted.
+  std::set<std::uint32_t> unsettled_;
+  std::size_t live_threads_ = 0;  ///< tabled threads not terminated
+  /// One past the highest retired index (0: none retired), and the latest
+  /// creation point of a retired thread.  Retired threads still count
+  /// toward max_thread_, so indexes are never reused.
+  std::uint32_t retired_end_ = 0;
+  StateIndex retired_created_max_;
   std::uint32_t max_thread_ = 0;
   std::uint32_t incarnation_ = 0;
   /// Thread index at which incarnation_ began (0 for the first); stamped on
@@ -467,9 +564,12 @@ class SpeculativeProcess {
   struct LoggedInput {
     StateIndex at;   ///< receiving thread's state index after acceptance
     StateIndex pre;  ///< state index just before acceptance (rollback point)
+    std::uint64_t seq = 0;  ///< acceptance order (rollbacks requeue by it)
     net::Envelope env;
   };  // (declared above for replay_feed)
-  std::vector<LoggedInput> input_log_;
+  /// Accepted data messages keyed by `at` (one per acceptance).
+  std::map<StateIndex, LoggedInput> input_log_;
+  std::uint64_t next_input_seq_ = 0;
 
   std::map<StateIndex, ThreadCtx> checkpoints_;
 
@@ -483,11 +583,23 @@ class SpeculativeProcess {
   std::map<StateIndex, ReplayMeta> replay_meta_;
   bool replaying_ = false;
 
-  /// Something the GC sweep reads (checkpoints, replay metadata, input
-  /// log, which threads are dead) changed since the last sweep, which ran
-  /// against gc_summary_.
-  bool gc_stale_ = true;
-  RollbackSummary gc_summary_;
+  /// What the GC sweep must look at again.  The sweep last ran against
+  /// low-water mark swept_low_ (when swept_any_); since then these threads
+  /// died or lost their last targeting entry, and these checkpoints were
+  /// taken.
+  bool swept_any_ = false;
+  StateIndex swept_low_;
+  std::set<std::uint32_t> dirty_threads_;
+  std::vector<StateIndex> new_checkpoints_;
+  /// Per thread with retained state, a key at or below all of it: its
+  /// first state, then its latest pruning bound.
+  std::map<std::uint32_t, StateIndex> state_floor_;
+  /// index_may_hold_resolved() bookkeeping: the history abort epoch at
+  /// which the index last held only unresolved guesses, and whether an
+  /// entry of a resolved guess was inserted since.
+  std::uint64_t index_checked_epoch_ = 0;
+  bool index_took_resolved_ = false;
+  std::uint64_t bookkeeping_visits_ = 0;
 
   /// The aborted guess whose processing is currently driving rollbacks;
   /// threaded into kWorkDiscarded / cascade kAbort events so attribution

@@ -183,14 +183,8 @@ std::optional<std::int64_t> SpeculativeProcess::first_deliverable() const {
   // deliver only ever bounds the receiving thread from below, so a
   // call or send is deliverable iff the highest thread waiting in Receive
   // may take it.
-  const ThreadCtx* top = nullptr;
-  for (auto it = threads_.rbegin(); it != threads_.rend(); ++it) {
-    if (it->second.phase == ThreadCtx::Phase::kAwaitMessage) {
-      top = &it->second;
-      break;
-    }
-  }
-  if (top == nullptr) return best;
+  if (receiving_.empty()) return best;
+  const ThreadCtx* top = &threads_.at(*receiving_.rbegin());
   for (std::int64_t order : pending_receives_) {
     if (best && order > *best) break;
     const auto msg = std::static_pointer_cast<const DataMessage>(
@@ -244,7 +238,7 @@ void SpeculativeProcess::deliver(const net::Envelope& env) {
     }
     accept_message(t, env);
     t.machine.resume_with_value(msg->result);
-    t.phase = ThreadCtx::Phase::kRunning;
+    set_phase(t, ThreadCtx::Phase::kRunning);
     t.outstanding_reqid = -1;
     outstanding_calls_.erase(msg->reqid);
     trace::ObservableEvent ev;
@@ -261,8 +255,9 @@ void SpeculativeProcess::deliver(const net::Envelope& env) {
   // threads must not logically precede a guess the message depends on.
   ThreadCtx* best = nullptr;
   std::size_t best_new_deps = 0;
-  for (auto& [idx, t] : threads_) {
-    if (t.phase != ThreadCtx::Phase::kAwaitMessage) continue;
+  for (std::uint32_t idx : receiving_) {
+    ++bookkeeping_visits_;
+    ThreadCtx& t = threads_.at(idx);
     if (own_in_tag.valid() && own_in_tag.incarnation == incarnation_ &&
         idx < own_in_tag.index) {
       continue;  // would make our own guess depend on itself
@@ -287,7 +282,7 @@ void SpeculativeProcess::deliver(const net::Envelope& env) {
   t.machine.deliver(msg->op, msg->args, static_cast<std::int64_t>(env.src),
                     msg->reqid,
                     /*is_call=*/msg->data_kind == DataKind::kCall);
-  t.phase = ThreadCtx::Phase::kRunning;
+  set_phase(t, ThreadCtx::Phase::kRunning);
   trace::ObservableEvent ev;
   ev.kind = trace::ObservableEvent::Kind::kReceive;
   ev.process = id_;
@@ -326,6 +321,7 @@ void SpeculativeProcess::accept_message(ThreadCtx& t,
     } else {
       replay_meta_[rollback_point] =
           ReplayMeta{t.sent_count, t.flushed_count, t.outstanding_reqid};
+      note_state(rollback_point);
     }
   }
   ++t.interval;
@@ -340,8 +336,13 @@ void SpeculativeProcess::accept_message(ThreadCtx& t,
         .add(static_cast<double>(t.guard.size()));
   }
 
-  input_log_.push_back(LoggedInput{current_index(t), rollback_point, env});
-  gc_stale_ = true;
+  const StateIndex at = current_index(t);
+  const bool fresh =
+      input_log_
+          .emplace(at, LoggedInput{at, rollback_point, next_input_seq_++, env})
+          .second;
+  OCSP_CHECK_MSG(fresh, "two acceptances at one state index");
+  note_state(at);
 }
 
 }  // namespace ocsp::spec

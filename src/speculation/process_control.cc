@@ -10,6 +10,7 @@
 // one CDG and aborts our own guesses on any cycle (time fault, Figures 4
 // and 7).
 #include <algorithm>
+#include <tuple>
 
 #include "speculation/process.h"
 #include "speculation/process_table.h"
@@ -102,6 +103,10 @@ void SpeculativeProcess::commit_guess_local(const GuessId& g) {
       ThreadCtx& t = threads_.at(idx);
       t.guard.erase(h);
       erase_rollback(t, h);
+      if (t.phase == ThreadCtx::Phase::kTerminated) note_settled(t);
+      if (t.phase == ThreadCtx::Phase::kJoinWait && t.guard.empty()) {
+        join_candidates_.insert(idx);
+      }
     }
   }
 }
@@ -142,12 +147,14 @@ void SpeculativeProcess::rollback_aborted_dependencies() {
     bool found = false;
     StateIndex target{};
     for (auto& [idx, t] : threads_) {
+      ++bookkeeping_visits_;
       std::vector<GuessId> abortset;
       // Walk the full acquisition record, not just the guard set: the
       // one-guess-per-owner subsumption (4.1.5) may have replaced an
       // earlier aborted guess, but the state became contaminated at the
       // earlier acquisition point.
       for (const auto& [a, rb] : t.rollbacks) {
+        ++bookkeeping_visits_;
         if (history_.status(a) == GuessStatus::kAborted) {
           abortset.push_back(a);
         }
@@ -200,8 +207,12 @@ void SpeculativeProcess::abort_own_guess(const GuessId& g) {
   rollback_cause_ = g;
   std::vector<GuessId> cascade;
   std::vector<std::uint32_t> doomed;
-  for (auto& [idx, t] : threads_) {
-    if (idx >= g.index) doomed.push_back(idx);
+  // No retired thread is among them: a settled thread at or past g.index
+  // means g committed.
+  OCSP_CHECK_MSG(g.index >= retired_end_, "abort reaches a retired thread");
+  for (auto it = threads_.lower_bound(g.index); it != threads_.end(); ++it) {
+    ++bookkeeping_visits_;
+    doomed.push_back(it->first);
   }
   for (auto it = doomed.rbegin(); it != doomed.rend(); ++it) {
     kill_thread(*it, cascade);
@@ -237,8 +248,10 @@ void SpeculativeProcess::abort_own_guess(const GuessId& g) {
   // Mark the parent join so the left thread re-executes S2 when it
   // completes; if it is already waiting at the join, re-execute now.
   for (auto& [idx, t] : threads_) {
+    ++bookkeeping_visits_;
     if (t.has_pending_join && t.join_guess == g) {
       t.join_guess_aborted = true;
+      if (t.phase == ThreadCtx::Phase::kJoinWait) join_candidates_.insert(idx);
       cancel_fork_timer(g);
       if (t.phase == ThreadCtx::Phase::kJoinWait) {
         OCSP_CHECK(threads_.count(t.join_right_index) == 0);
@@ -290,11 +303,10 @@ void SpeculativeProcess::kill_thread(std::uint32_t index,
     }
   }
   erase_thread(it);
+  join_rescan_ = true;  // a join-waiter's right thread may be gone
 }
 
 void SpeculativeProcess::rollback_to(const StateIndex& target) {
-  gc_stale_ = true;  // checkpoints, replay metadata and inputs are purged
-
   // Rollback distance: how many intervals the target thread is wound back.
   std::uint32_t pre_interval = target.interval;
   if (auto tgt = threads_.find(target.thread); tgt != threads_.end()) {
@@ -302,9 +314,13 @@ void SpeculativeProcess::rollback_to(const StateIndex& target) {
   }
 
   // Kill every thread created after the restore point; the target thread
-  // itself is restored.
+  // itself is restored.  No retired thread is among them: it was settled,
+  // and no rollback point precedes a settled thread's creation.
+  OCSP_CHECK_MSG(retired_end_ == 0 || !(target < retired_created_max_),
+                 "rollback reaches a retired thread");
   std::vector<std::uint32_t> doomed;
   for (auto& [idx, t] : threads_) {
+    ++bookkeeping_visits_;
     if (t.created_at > target) {
       doomed.push_back(idx);
     } else if (idx == target.thread) {
@@ -367,6 +383,7 @@ void SpeculativeProcess::rollback_to(const StateIndex& target) {
     }
   }
   max_thread_ = threads_.empty() ? 0 : threads_.rbegin()->first;
+  if (retired_end_ != 0) max_thread_ = std::max(max_thread_, retired_end_ - 1);
 
   // Cascade aborts for our own guesses that died with the killed threads.
   std::uint64_t cascaded = 0;
@@ -384,10 +401,12 @@ void SpeculativeProcess::rollback_to(const StateIndex& target) {
       .add(static_cast<double>(cascaded));
   // Parents whose speculative child died must re-execute S2 at their join.
   for (auto& [idx, t] : threads_) {
+    ++bookkeeping_visits_;
     if (!t.has_pending_join || t.join_guess_aborted) continue;
     if (!t.join_guess.valid()) continue;
     if (history_.status(t.join_guess) == GuessStatus::kAborted) {
       t.join_guess_aborted = true;
+      if (t.phase == ThreadCtx::Phase::kJoinWait) join_candidates_.insert(idx);
       cancel_fork_timer(t.join_guess);
       if (t.phase == ThreadCtx::Phase::kJoinWait &&
           threads_.count(t.join_right_index) == 0) {
@@ -396,26 +415,30 @@ void SpeculativeProcess::rollback_to(const StateIndex& target) {
     }
   }
 
-  // Requeue inputs consumed after the restore point (Figure 5); the orphan
-  // filter runs again when they are re-delivered.
-  std::vector<LoggedInput> kept;
-  kept.reserve(input_log_.size());
-  std::vector<net::Envelope> requeued;
-  for (auto& entry : input_log_) {
+  // Requeue inputs consumed after the restore point (Figure 5), in
+  // acceptance order; the orphan filter runs again when they are
+  // re-delivered.
+  std::vector<LoggedInput> requeued;
+  for (auto it = input_log_.upper_bound(target); it != input_log_.end();) {
+    ++bookkeeping_visits_;
     // Only the rolled-back threads' consumptions are undone; messages a
     // surviving thread consumed stay consumed.
-    const bool undone = target < entry.at &&
-                        (entry.at.thread == target.thread ||
-                         std::find(doomed.begin(), doomed.end(),
-                                   entry.at.thread) != doomed.end());
+    const std::uint32_t thread = it->first.thread;
+    const bool undone =
+        thread == target.thread ||
+        std::find(doomed.begin(), doomed.end(), thread) != doomed.end();
     if (undone) {
-      requeued.push_back(entry.env);
+      requeued.push_back(std::move(it->second));
       ++stats_.messages_redelivered;
+      it = input_log_.erase(it);
     } else {
-      kept.push_back(std::move(entry));
+      ++it;
     }
   }
-  input_log_ = std::move(kept);
+  std::sort(requeued.begin(), requeued.end(),
+            [](const LoggedInput& a, const LoggedInput& b) {
+              return a.seq < b.seq;
+            });
   {
     obs::Event ev = make_event(obs::EventKind::kRollback);
     ev.thread = target.thread;
@@ -428,7 +451,7 @@ void SpeculativeProcess::rollback_to(const StateIndex& target) {
         .add(static_cast<double>(pre_interval - target.interval));
   }
   for (auto it = requeued.rbegin(); it != requeued.rend(); ++it) {
-    queue_pending(*it, /*front=*/true);
+    queue_pending(it->env, /*front=*/true);
   }
 
   process_arrivals();
@@ -450,9 +473,12 @@ ThreadCtx SpeculativeProcess::rebuild_by_replay(const StateIndex& base,
   const ReplayMeta meta = meta_it->second;
 
   replaying_ = true;
-  for (const auto& entry : input_log_) {
+  // One thread's inputs are keyed in the order it accepted them.
+  for (auto it = input_log_.upper_bound(base);
+       it != input_log_.end() && !(target < it->first); ++it) {
+    ++bookkeeping_visits_;
+    const LoggedInput& entry = it->second;
     if (entry.at.thread != target.thread) continue;
-    if (!(base < entry.at) || target < entry.at) continue;
     // A periodic (mid-wait) checkpoint base starts out already blocked at
     // the receive/reply the first logged entry answers.
     if (t.machine.state() == csp::MachineState::kReady) {
@@ -648,6 +674,11 @@ void SpeculativeProcess::restore_thread(const StateIndex& target) {
     restored.guard.erase(g);
     restored.rollbacks.erase(g);
   }
+  // Entries of guesses subsumed in the guard are inert once committed;
+  // dropping them keeps committed guesses out of the rollback-point index.
+  std::erase_if(restored.rollbacks, [this](const auto& entry) {
+    return history_.status(entry.first) == GuessStatus::kCommitted;
+  });
 
   switch (restored.phase) {
     case ThreadCtx::Phase::kRunning:
@@ -731,39 +762,78 @@ void SpeculativeProcess::on_precedence_msg(const GuessId& subject,
 // ---------------------------------------------------------------------------
 
 void SpeculativeProcess::after_guard_change() {
-  bool progressed = true;
-  while (progressed) {
-    progressed = false;
-    for (auto& [idx, t] : threads_) {
-      if (t.phase != ThreadCtx::Phase::kJoinWait) continue;
-      if (t.join_guess_aborted) {
-        if (threads_.count(t.join_right_index) == 0) {
-          reexecute_right(t);
-          progressed = true;
-          break;
-        }
-        continue;
-      }
-      if (t.guard.empty()) {
-        finalize_join_commit(t);
-        progressed = true;
-        break;
-      }
+  while (ThreadCtx* t = next_ready_join()) {
+    if (t->join_guess_aborted) {
+      reexecute_right(*t);
+    } else {
+      finalize_join_commit(*t);
     }
   }
   flush_logs();
   gc_resolved_state();
   check_completion();
+  retire_settled_threads();
+}
+
+ThreadCtx* SpeculativeProcess::next_ready_join() {
+  // The join-waiters outside join_candidates_ are known not to be ready,
+  // so the lowest ready candidate is the lowest ready waiter.
+  if (join_rescan_) {
+    join_candidates_.insert(join_waiting_.begin(), join_waiting_.end());
+    join_rescan_ = false;
+  }
+  while (!join_candidates_.empty()) {
+    ++bookkeeping_visits_;
+    const std::uint32_t idx = *join_candidates_.begin();
+    join_candidates_.erase(join_candidates_.begin());
+    auto it = threads_.find(idx);
+    if (it == threads_.end() ||
+        it->second.phase != ThreadCtx::Phase::kJoinWait) {
+      continue;
+    }
+    ThreadCtx& t = it->second;
+    const bool ready = t.join_guess_aborted
+                           ? threads_.count(t.join_right_index) == 0
+                           : t.guard.empty();
+    if (ready) return &t;
+  }
+  return nullptr;
+}
+
+bool SpeculativeProcess::index_may_hold_resolved() const {
+  return index_took_resolved_ ||
+         index_checked_epoch_ != history_.abort_epoch();
 }
 
 void SpeculativeProcess::gc_resolved_state() {
-  const RollbackSummary summary = rollback_summary();
-  // The sweep is idempotent: against unchanged inputs it prunes nothing.
-  if (gc_stale_ || !(summary == gc_summary_)) {
-    sweep_resolved_state(summary);
-    gc_summary_ = summary;
-    gc_stale_ = false;
+  // Commits scrub their guess from every holder, so the index holds a
+  // resolved guess only after an abort (until the rollback fixpoint drops
+  // its holders) or a restore.  Otherwise its first entry is the
+  // low-water mark and its target counts are exact.
+  RollbackSummary summary;
+  bool filtered = false;
+  if (index_may_hold_resolved()) {
+    bookkeeping_visits_ += rollback_index_.size();
+    summary = filtered_summary(filtered);
+    if (filtered) {
+      // Threads only resolved entries target count as untargeted.
+      for (const auto& [thread, entries] : rollback_index_.target_threads()) {
+        ++bookkeeping_visits_;
+        if (!std::binary_search(summary.targets.begin(),
+                                summary.targets.end(), thread)) {
+          dirty_threads_.insert(thread);
+        }
+      }
+    } else {
+      index_checked_epoch_ = history_.abort_epoch();
+      index_took_resolved_ = false;
+    }
+  } else if (!rollback_index_.empty()) {
+    ++bookkeeping_visits_;
+    summary.any_unresolved = true;
+    summary.low = rollback_index_.begin()->first.first;
   }
+  sweep_resolved_state(summary, filtered);
 
   // Commits and explicit aborts remove their own node; guesses aborted
   // implicitly (through an incarnation, or killed with their thread) leave
@@ -794,73 +864,119 @@ void SpeculativeProcess::gc_resolved_state() {
   });
 }
 
-void SpeculativeProcess::sweep_resolved_state(const RollbackSummary& summary) {
-  // The earliest state a future rollback can target is the minimum
-  // rollback point over every still-unresolved dependency.
-  const bool any_unresolved = summary.any_unresolved;
-  const StateIndex& low = summary.low;
+void SpeculativeProcess::sweep_resolved_state(const RollbackSummary& summary,
+                                              bool filtered) {
+  // What is prunable: all state of a thread that is dead (terminated or
+  // gone) and targeted by no unresolved rollback entry, since it can never
+  // be resurrected; and, per thread, everything keyed before its latest
+  // checkpoint at or before the low-water mark (the latest overall when
+  // nothing is in doubt), since the replay strategy rebuilds from the
+  // latest full checkpoint at or before a rollback target.  The previous
+  // sweep left nothing prunable, so only threads that have since died or
+  // lost their last target, and checkpoints that have since come to lie
+  // at or below the mark, can make more state prunable.
+  auto targeted = [&](std::uint32_t thread) {
+    return filtered ? std::binary_search(summary.targets.begin(),
+                                         summary.targets.end(), thread)
+                    : rollback_index_.targets(thread);
+  };
+  for (std::uint32_t thread : dirty_threads_) {
+    ++bookkeeping_visits_;
+    auto t = threads_.find(thread);
+    const bool dead = t == threads_.end() ||
+                      t->second.phase == ThreadCtx::Phase::kTerminated;
+    if (!dead || targeted(thread)) continue;
+    auto floor = state_floor_.find(thread);
+    if (floor == state_floor_.end()) continue;
+    prune_thread_state(thread, floor->second,
+                       StateIndex{incarnation_ + 1, thread, 0});
+    state_floor_.erase(floor);
+  }
+  dirty_threads_.clear();
 
-  // Per thread, the replay strategy rebuilds from the latest full
-  // checkpoint at or before the rollback target, so keep the greatest
-  // checkpoint key <= low (or the greatest overall when nothing is in
-  // doubt) and discard everything strictly older, along with the logged
-  // inputs and replay metadata those checkpoints subsume.
-  std::map<std::uint32_t, StateIndex> keep_from;
-  for (const auto& [key, snapshot] : checkpoints_) {
-    if (any_unresolved && low < key) continue;
-    auto [it, inserted] = keep_from.try_emplace(key.thread, key);
-    if (!inserted && it->second < key) it->second = key;
+  const bool any = summary.any_unresolved;
+  const StateIndex& low = summary.low;
+  std::vector<StateIndex> keeps;  // checkpoints newly at or below the mark
+  if (swept_any_ && (!any || swept_low_ < low)) {
+    for (auto it = checkpoints_.upper_bound(swept_low_);
+         it != checkpoints_.end() && (!any || !(low < it->first)); ++it) {
+      ++bookkeeping_visits_;
+      keeps.push_back(it->first);
+    }
   }
-  // Threads that are dead (terminated or gone) and targeted by no
-  // unresolved rollback entry can never be resurrected; drop their state
-  // wholesale.
-  auto thread_dead = [&](std::uint32_t idx) {
-    auto it = threads_.find(idx);
-    return it == threads_.end() ||
-           it->second.phase == ThreadCtx::Phase::kTerminated;
+  for (const StateIndex& key : new_checkpoints_) {
+    ++bookkeeping_visits_;
+    if ((!any || !(low < key)) && checkpoints_.count(key) > 0) {
+      keeps.push_back(key);
+    }
+  }
+  new_checkpoints_.clear();
+  swept_any_ = any;
+  swept_low_ = low;
+  // A thread's latest such checkpoint is its new pruning bound: sort by
+  // thread, latest first, and take the first of each thread.
+  std::sort(keeps.begin(), keeps.end(),
+            [](const StateIndex& a, const StateIndex& b) {
+              return std::tie(a.thread, a) > std::tie(b.thread, b);
+            });
+  for (std::size_t i = 0; i < keeps.size(); ++i) {
+    if (i > 0 && keeps[i].thread == keeps[i - 1].thread) continue;
+    auto floor = state_floor_.find(keeps[i].thread);
+    if (floor == state_floor_.end() || !(floor->second < keeps[i])) continue;
+    prune_thread_state(keeps[i].thread, floor->second, keeps[i]);
+    floor->second = keeps[i];
+  }
+}
+
+void SpeculativeProcess::prune_thread_state(std::uint32_t thread,
+                                            const StateIndex& from,
+                                            const StateIndex& to) {
+  // A thread's keys interleave with other threads' across incarnations:
+  // visit its range in each incarnation from `from` to `to`.
+  auto prune = [&](auto& keyed, std::uint64_t* pruned) {
+    for (std::uint32_t inc = from.incarnation; inc <= to.incarnation; ++inc) {
+      const StateIndex lo =
+          inc == from.incarnation ? from : StateIndex{inc, thread, 0};
+      const StateIndex hi =
+          inc == to.incarnation ? to : StateIndex{inc, thread + 1, 0};
+      for (auto it = keyed.lower_bound(lo);
+           it != keyed.end() && it->first < hi;) {
+        ++bookkeeping_visits_;
+        it = keyed.erase(it);
+        if (pruned != nullptr) ++*pruned;
+      }
+    }
   };
-  auto prunable = [&](const StateIndex& key) {
-    if (thread_dead(key.thread) &&
-        !std::binary_search(summary.targets.begin(), summary.targets.end(),
-                            key.thread)) {
-      return true;
-    }
-    auto keep = keep_from.find(key.thread);
-    return keep != keep_from.end() && key < keep->second;
-  };
-  for (auto it = checkpoints_.begin(); it != checkpoints_.end();) {
-    if (prunable(it->first)) {
-      it = checkpoints_.erase(it);
-      ++stats_.checkpoints_pruned;
-    } else {
-      ++it;
-    }
-  }
-  for (auto it = replay_meta_.begin(); it != replay_meta_.end();) {
-    if (prunable(it->first)) {
-      it = replay_meta_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  std::vector<LoggedInput> kept_inputs;
-  kept_inputs.reserve(input_log_.size());
-  for (auto& entry : input_log_) {
-    if (prunable(entry.at)) {
-      ++stats_.log_entries_pruned;
-    } else {
-      kept_inputs.push_back(std::move(entry));
-    }
-  }
-  input_log_ = std::move(kept_inputs);
+  prune(checkpoints_, &stats_.checkpoints_pruned);
+  prune(replay_meta_, nullptr);
+  prune(input_log_, &stats_.log_entries_pruned);
 }
 
 SpeculativeProcess::RollbackSummary SpeculativeProcess::rollback_summary()
     const {
+  if (index_may_hold_resolved()) {
+    bool resolved = false;
+    return filtered_summary(resolved);
+  }
+  RollbackSummary out;
+  if (rollback_index_.empty()) return out;
+  out.any_unresolved = true;
+  out.low = rollback_index_.begin()->first.first;
+  for (const auto& [thread, entries] : rollback_index_.target_threads()) {
+    out.targets.push_back(thread);
+  }
+  return out;
+}
+
+SpeculativeProcess::RollbackSummary SpeculativeProcess::filtered_summary(
+    bool& resolved) const {
   RollbackSummary out;
   for (const auto& [entry, refs] : rollback_index_) {
     const auto& [at, g] = entry;
-    if (history_.status(g) != GuessStatus::kUnknown) continue;
+    if (history_.status(g) != GuessStatus::kUnknown) {
+      resolved = true;
+      continue;
+    }
     if (!out.any_unresolved) {
       out.any_unresolved = true;
       out.low = at;  // entries ascend by rollback point

@@ -38,6 +38,7 @@ void SpeculativeProcess::restart() {
   for (;;) {
     const ThreadCtx* victim = nullptr;
     for (const auto& [idx, t] : threads_) {
+      ++bookkeeping_visits_;
       if (t.phase == ThreadCtx::Phase::kTerminated) continue;
       if (!t.has_own_guess) continue;
       if (history_.status(t.own_guess) != GuessStatus::kUnknown) continue;
@@ -62,6 +63,7 @@ void SpeculativeProcess::restart() {
   // Threads whose compute timers fired during the downtime are kRunning but
   // their steps were swallowed by the crashed_ gate; re-arm them.
   for (auto& [idx, t] : threads_) {
+    ++bookkeeping_visits_;
     if (t.phase == ThreadCtx::Phase::kRunning) schedule_step(idx);
   }
   // The transport flushes parked frames right after this returns

@@ -32,6 +32,19 @@ void SpeculativeProcess::cancel_fork_timer(const GuessId& guess) {
   fork_timers_.erase(it);
 }
 
+void SpeculativeProcess::inherit_rollbacks(const ThreadCtx& parent,
+                                           ThreadCtx& child) {
+  // Only the parent's guard members: any other entry g -> p of the parent
+  // has p before the child's creation and is held by the thread that made
+  // the acquisition, whose rollback to p kills the child anyway.
+  for (const auto& g : parent.guard) {
+    ++bookkeeping_visits_;
+    auto rb = parent.rollbacks.find(g);
+    OCSP_CHECK_MSG(rb != parent.rollbacks.end(), "guard without rollback");
+    child.rollbacks.emplace(g, rb->second);
+  }
+}
+
 void SpeculativeProcess::do_fork(ThreadCtx& t, const csp::ForkStmt& f) {
   // The governor's circuit breaker sits beside the liveness limit L: L is
   // monotone per site (reset on commit), the breaker is an EWMA with
@@ -118,7 +131,7 @@ void SpeculativeProcess::do_fork(ThreadCtx& t, const csp::ForkStmt& f) {
     // A SAFE fork adds no guess of its own, but any enclosing speculation
     // still guards both threads: inherit the parent's dependencies.
     r.guard = t.guard;
-    r.rollbacks = t.rollbacks;
+    inherit_rollbacks(t, r);
     r.has_own_guess = false;
     r.created_at = current_index(t);
 
@@ -216,7 +229,7 @@ void SpeculativeProcess::do_fork(ThreadCtx& t, const csp::ForkStmt& f) {
   r.machine = std::move(right_machine);
   r.guard = t.guard;
   r.guard.add(guess);
-  r.rollbacks = t.rollbacks;
+  inherit_rollbacks(t, r);
   r.rollbacks[guess] = StateIndex{incarnation_, new_index, 0};
   r.has_own_guess = true;
   r.own_guess = guess;
@@ -408,7 +421,7 @@ void SpeculativeProcess::do_join_inner(ThreadCtx& left) {
     return;
   }
   distribute_control(ControlKind::kPrecedence, guess, published);
-  l.phase = ThreadCtx::Phase::kJoinWait;
+  set_phase(l, ThreadCtx::Phase::kJoinWait);
   fork_timers_[guess] = host_.scheduler().after(
       config_.join_wait_timeout, [this, guess]() {
         fork_timers_.erase(guess);

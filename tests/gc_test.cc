@@ -84,6 +84,46 @@ TEST(Gc, ClientStateAlsoPruned) {
   // the dead threads' checkpoints are pruned and only the live tail stays.
   EXPECT_LT(rt->process(0).checkpoint_count(), 8u);
   EXPECT_GT(rt->process(0).stats().checkpoints_pruned, 100u);
+  // The threads themselves retire once settled: the table keeps none.
+  EXPECT_EQ(rt->process(0).tabled_thread_count(), 0u);
+}
+
+/// Everything the speculation bookkeeping visits (thread-table entries,
+/// rollback entries indexed or scrubbed, index entries the GC reads, state
+/// the GC sweep examines) per kernel event stays flat as the PutLine
+/// stream deepens: forks inherit only their guard members' rollback
+/// entries, settled threads retire, and the GC visits only what changed.
+TEST(Gc, PutLineBookkeepingFlatInLineCount) {
+  for (auto strategy : {spec::RollbackStrategy::kCheckpointEveryInterval,
+                        spec::RollbackStrategy::kReplayFromLog}) {
+    std::vector<double> per_event;
+    for (int lines : {16, 1024}) {
+      // BM_StreamDepth's parameters.
+      core::PutLineParams p;
+      p.lines = lines;
+      p.net.latency = sim::microseconds(1000);
+      p.service_time = sim::microseconds(10);
+      p.client_compute = sim::microseconds(2);
+      p.spec.rollback = strategy;
+      auto rt = baseline::make_runtime(core::putline_scenario(p), true);
+      rt->run();
+      ASSERT_TRUE(rt->all_clients_completed()) << lines;
+      std::uint64_t visits = 0;
+      for (ProcessId id : rt->all_process_ids()) {
+        const auto& proc = rt->process(id);
+        visits += proc.bookkeeping_visits();
+        // No terminated thread stays in a table once the run is over.
+        EXPECT_EQ(proc.tabled_thread_count(), proc.live_thread_count())
+            << proc.name() << " at " << lines << " lines";
+      }
+      per_event.push_back(
+          static_cast<double>(visits) /
+          static_cast<double>(rt->metrics().counter_or("sim_events_fired")));
+    }
+    // Work per event at 64x the lines is at most 2x the work at 16.
+    EXPECT_LE(per_event[1], 2.0 * per_event[0])
+        << "16 lines: " << per_event[0] << ", 1024 lines: " << per_event[1];
+  }
 }
 
 // ---- per-guess bookkeeping ----------------------------------------------
@@ -182,7 +222,10 @@ TEST(Gc, CommitGraphEmptyOnceBroadcastRunsGoQuiet) {
 
 /// Each PRECEDENCE inserts its edges into one graph per process, so the
 /// edge work per PRECEDENCE stays flat as the relay pipeline lengthens,
-/// instead of growing with the threads that hold one of its guesses.
+/// instead of growing with the threads that hold one of its guesses.  So
+/// do the bookkeeping visits per kernel event, though the relays keep
+/// many left threads waiting at their joins: a guard change looks only
+/// at the waiters it may have made ready.
 TEST(Gc, RelayCdgEdgesPerPrecedenceFlatInCallCount) {
   struct Point {
     spec::ControlPlane plane;
@@ -194,6 +237,7 @@ TEST(Gc, RelayCdgEdgesPerPrecedenceFlatInCallCount) {
                           {spec::ControlPlane::kTargeted, 16, 603},
                           {spec::ControlPlane::kTargeted, 128, 4859}};
   std::map<spec::ControlPlane, std::vector<double>> per_precedence;
+  std::map<spec::ControlPlane, std::vector<double>> visits_per_event;
   for (const Point& pt : points) {
     auto rt = baseline::make_runtime(
         core::pipeline_scenario(relay_pipeline(pt.calls, pt.plane)), true);
@@ -207,11 +251,19 @@ TEST(Gc, RelayCdgEdgesPerPrecedenceFlatInCallCount) {
         static_cast<double>(
             rt->recorder().count(obs::EventKind::kCdgEdgeAdded)) /
         static_cast<double>(precedence));
+    std::uint64_t visits = 0;
+    for (ProcessId id : rt->all_process_ids()) {
+      visits += rt->process(id).bookkeeping_visits();
+    }
+    visits_per_event[pt.plane].push_back(static_cast<double>(visits) /
+                                         static_cast<double>(pt.sim_events));
   }
-  for (const auto& [plane, ratios] : per_precedence) {
-    // Work per PRECEDENCE at 8x the calls is at most 2x the work at 16.
-    EXPECT_LE(ratios[1], 2.0 * ratios[0])
-        << "16 calls: " << ratios[0] << ", 128 calls: " << ratios[1];
+  for (const auto& per_unit : {per_precedence, visits_per_event}) {
+    for (const auto& [plane, ratios] : per_unit) {
+      // Work per unit at 8x the calls is at most 2x the work at 16.
+      EXPECT_LE(ratios[1], 2.0 * ratios[0])
+          << "16 calls: " << ratios[0] << ", 128 calls: " << ratios[1];
+    }
   }
 }
 
@@ -263,6 +315,17 @@ TEST(Gc, RollbackIndexMatchesWalkUnderValueFaults) {
   }
 }
 
+TEST(Gc, RollbackIndexMatchesWalkOnDeepStream) {
+  // Fault-free and deep: forks inherit only their guard members' entries,
+  // settled threads retire, and the index is read without filtering.
+  const SteppedRun run = expect_index_matches_walk(
+      core::putline_scenario(
+          long_run(512, spec::RollbackStrategy::kCheckpointEveryInterval)),
+      sim::seconds(60));
+  EXPECT_GT(run.in_doubt, 0u);
+  EXPECT_EQ(run.rollbacks, 0u);
+}
+
 TEST(Gc, RollbackIndexMatchesWalkUnderChaos) {
   core::AbortStormParams p;
   p.calls = 12;
@@ -290,12 +353,12 @@ TEST(Gc, RollbackIndexMatchesWalkUnderChaos) {
 }
 
 TEST(Gc, RollbackIndexMatchesWalkOnTargetedRelays) {
-  // The reference walks every thread's rollback map after every scheduler
-  // step, so its cost grows with steps times threads; 32 calls already
-  // chain guesses through all three relays and forward every resolution.
+  // The reference walks every tabled thread's rollback map after every
+  // scheduler step; with settled threads retired that is the in-doubt
+  // window, not every thread the run ever created.
   EXPECT_GT(expect_index_matches_walk(
                 core::pipeline_scenario(
-                    relay_pipeline(32, spec::ControlPlane::kTargeted)),
+                    relay_pipeline(128, spec::ControlPlane::kTargeted)),
                 sim::seconds(60))
                 .in_doubt,
             0u);
