@@ -89,11 +89,13 @@ class MetricsTrajectory {
   std::size_t size() const { return entries_.size(); }
 
   void add(std::string label, const baseline::RunResult& result) {
-    Entry e;
-    e.label = std::move(label);
-    e.virt_ms = sim::to_millis(result.last_completion);
-    e.metrics = result.metrics;
-    entries_.push_back(std::move(e));
+    add(std::move(label), sim::to_millis(result.last_completion),
+        result.metrics);
+  }
+
+  /// Entry of a bench that drives one layer directly, without a scenario.
+  void add(std::string label, double virt_ms, obs::MetricsRegistry metrics) {
+    entries_.push_back(Entry{std::move(label), virt_ms, std::move(metrics)});
   }
 
   /// Document format version: bumped to 2 when histogram summaries gained

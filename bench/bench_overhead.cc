@@ -4,11 +4,16 @@
 // it is the protocol bookkeeping: guard tagging, checkpointing, commit
 // histories.  This bench measures (a) the wall-clock cost of simulating
 // the same workload with speculation on vs off, and (b) microbenchmarks of
-// the hot protocol data structures.
+// the hot protocol data structures and of the event kernel under them.
+#include <array>
+#include <chrono>
+
 #include "bench_common.h"
+#include "sim/scheduler.h"
 #include "speculation/cdg.h"
 #include "speculation/guard_set.h"
 #include "speculation/history.h"
+#include "util/rng.h"
 
 namespace ocsp::bench {
 namespace {
@@ -127,6 +132,85 @@ void BM_HistoryImplicitAbortQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HistoryImplicitAbortQuery);
+
+/// Steady-state kernel load: `pending` events in flight.  Each firing
+/// schedules one 56-byte closure — a delivery's size — at a pseudo-random
+/// later time, and one firing in twenty also cancels a random pending
+/// event and schedules a replacement, so about 5% of events are cancelled
+/// and the pending count stays constant.
+class SchedulerChurn {
+ public:
+  explicit SchedulerChurn(std::size_t pending) : handles_(pending) {
+    for (std::size_t i = 0; i < pending; ++i) schedule(i);
+  }
+
+  void step() { sched_.step(); }
+  const sim::Scheduler& scheduler() const { return sched_; }
+  std::uint64_t cancelled() const { return cancelled_; }
+
+ private:
+  struct Event {
+    SchedulerChurn* churn;
+    std::size_t index;
+    std::array<std::uint64_t, 5> payload;
+    void operator()() const { churn->fired(index); }
+  };
+  static_assert(sizeof(Event) == sim::Scheduler::Callback::kInlineBytes);
+
+  void schedule(std::size_t index) {
+    handles_[index] = sched_.after(rng_.uniform_int(1, 1000000),
+                                   Event{this, index, {}});
+  }
+
+  void fired(std::size_t index) {
+    schedule(index);
+    if (rng_.uniform_int(0, 19) != 0) return;
+    const auto victim = static_cast<std::size_t>(rng_.uniform_int(
+        0, static_cast<std::int64_t>(handles_.size()) - 1));
+    if (sched_.cancel(handles_[victim])) {
+      ++cancelled_;
+      schedule(victim);
+    }
+  }
+
+  sim::Scheduler sched_;
+  util::Rng rng_{11};
+  std::vector<sim::Scheduler::Handle> handles_;
+  std::uint64_t cancelled_ = 0;
+};
+
+void BM_SchedulerChurn(benchmark::State& state) {
+  const auto pending = static_cast<std::size_t>(state.range(0));
+  SchedulerChurn churn(pending);
+  // Untimed warm-up: the heap and slot table reach their steady size.  Its
+  // deterministic kernel counters go to the --ocsp_json_out document.
+  for (std::size_t i = 0; i < 4 * pending; ++i) churn.step();
+  auto& trajectory = MetricsTrajectory::instance();
+  if (!trajectory.path().empty()) {
+    const sim::Scheduler& sched = churn.scheduler();
+    obs::MetricsRegistry warmup;
+    warmup.counter("sim_events_fired") = sched.fired_count();
+    warmup.counter("sim_events_cancelled") = churn.cancelled();
+    warmup.gauge("sim_peak_pending") =
+        static_cast<double>(sched.peak_pending());
+    trajectory.add("BM_SchedulerChurn/pending:" + std::to_string(pending),
+                   sim::to_millis(sched.now()), std::move(warmup));
+  }
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) churn.step();
+  const std::chrono::duration<double, std::nano> elapsed =
+      std::chrono::steady_clock::now() - start;
+  benchmark::DoNotOptimize(churn.scheduler().fired_count());
+  state.counters["ns_per_event"] =
+      elapsed.count() / static_cast<double>(state.iterations());
+}
+// One kernel event per iteration.  32768 pending is above storm_chaos's
+// peak of 21,262 (perfbench).
+BENCHMARK(BM_SchedulerChurn)
+    ->ArgName("pending")
+    ->Arg(16)
+    ->Arg(1024)
+    ->Arg(32768);
 
 }  // namespace
 }  // namespace ocsp::bench

@@ -1,7 +1,28 @@
 // Experiment C3 — streaming depth: the right-branching fork structure of
 // section 3.2 at scale.  How does completion time scale with the number of
 // outstanding speculative calls, and what does the bookkeeping cost?
+#include <cstdlib>
+#include <new>
+
 #include "bench_common.h"
+
+// Every global operator new in this binary is counted, so the untimed run
+// below can report heap allocations per kernel event.
+namespace {
+std::size_t g_allocations = 0;
+}  // namespace
+
+// Out of line, so the compiler sees operator new and delete paired, not
+// malloc and free (which it would warn of as mismatched).
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  ++g_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace ocsp::bench {
 namespace {
@@ -46,18 +67,29 @@ benchmark::Counter time_per_event(const baseline::RunResult& result) {
           benchmark::Counter::kInvert);
 }
 
-/// Elements the speculation bookkeeping visits per kernel event, summed
-/// over processes (one untimed run): flat in depth when fork, commit,
-/// control handling and GC cost what each event changes.
-double bookkeeping_per_event(const baseline::Scenario& scenario) {
+/// Per-kernel-event costs counted in one untimed run.
+struct EventCosts {
+  /// Elements the speculation bookkeeping visits, summed over processes:
+  /// flat in depth when fork, commit, control handling and GC cost what
+  /// each event changes.
+  double bookkeeping = 0;
+  /// Global operator new calls while the run executes (set-up excluded).
+  double allocs = 0;
+};
+
+EventCosts event_costs(const baseline::Scenario& scenario) {
   auto rt = baseline::make_runtime(scenario, true);
+  const std::size_t allocs_before = g_allocations;
   rt->run();
+  const std::size_t allocs = g_allocations - allocs_before;
   std::uint64_t visits = 0;
   for (ProcessId id : rt->all_process_ids()) {
     visits += rt->process(id).bookkeeping_visits();
   }
-  return static_cast<double>(visits) /
-         static_cast<double>(rt->metrics().counter_or("sim_events_fired"));
+  const auto events =
+      static_cast<double>(rt->metrics().counter_or("sim_events_fired"));
+  return {static_cast<double>(visits) / events,
+          static_cast<double>(allocs) / events};
 }
 
 void BM_StreamDepth(benchmark::State& state) {
@@ -71,10 +103,12 @@ void BM_StreamDepth(benchmark::State& state) {
   set_counters(state, result);
   state.SetItemsProcessed(state.iterations() * lines);
   state.counters["time_per_event"] = time_per_event(result);
-  state.counters["bookkeeping_per_event"] =
-      bookkeeping_per_event(core::putline_scenario(params_for(lines)));
+  const EventCosts costs =
+      event_costs(core::putline_scenario(params_for(lines)));
+  state.counters["bookkeeping_per_event"] = costs.bookkeeping;
+  state.counters["allocs_per_event"] = costs.allocs;
 }
-// 256 and 1024 lines extend the depth curve past the report's table; the
+// 256 to 4096 lines extend the depth curve past the report's table; the
 // 1024 point runs for about 0.1 s per iteration.
 BENCHMARK(BM_StreamDepth)
     ->Arg(4)
@@ -83,7 +117,8 @@ BENCHMARK(BM_StreamDepth)
     ->Arg(128)
     ->Arg(256)
     ->Arg(512)
-    ->Arg(1024);
+    ->Arg(1024)
+    ->Arg(4096);
 
 void BM_RelayStreamDepth(benchmark::State& state) {
   core::PipelineParams p;

@@ -197,7 +197,7 @@ void Network::deliver(const Envelope& env) {
   const std::uint64_t prio =
       per_link_ ? link_prio(env.src, env.dst, env.id & 0xffffffff)
                 : sim::Scheduler::kDefaultPrio;
-  sched_.at(env.delivered_at, prio, [this, env]() {
+  auto fire = [this, env]() {
     auto it = endpoints_.find(env.dst);
     OCSP_CHECK_MSG(it != endpoints_.end(), "delivery to unknown endpoint");
     ++stats_.messages_delivered;
@@ -205,7 +205,12 @@ void Network::deliver(const Envelope& env) {
               << " " << env.src << "->" << env.dst << " @" << env.delivered_at;
     it->second(env);
     if (tracer_) tracer_(env);
-  });
+  };
+  // Every message passes here: a larger Envelope must not bring back a
+  // heap allocation per delivery.
+  static_assert(sim::Scheduler::Callback::kStoredInline<decltype(fire)>,
+                "delivery closure outgrew the scheduler's inline storage");
+  sched_.at(env.delivered_at, prio, std::move(fire));
 }
 
 }  // namespace ocsp::net

@@ -68,10 +68,14 @@ void SpeculativeProcess::distribute_control(ControlKind kind,
         ++stats_.control_sent;
         host_.network().send(id_, dst, msg);
       } else {
-        host_.scheduler().after(delay, [this, dst, msg]() {
+        auto resend = [this, dst, msg]() {
           ++stats_.control_sent;
           host_.network().send(id_, dst, msg);
-        });
+        };
+        static_assert(
+            sim::Scheduler::Callback::kStoredInline<decltype(resend)>,
+            "control retry closure outgrew the scheduler's inline storage");
+        host_.scheduler().after(delay, std::move(resend));
       }
     }
   }
