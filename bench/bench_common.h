@@ -31,7 +31,7 @@
 namespace ocsp::bench {
 
 /// Print the paper-figure slice of a run's recorded events, one
-/// obs::to_string line each: forks, joins, commits, aborts, rollbacks,
+/// RunRecorder::to_string line each: forks, joins, commits, aborts, rollbacks,
 /// control distributions, CDG cycles, released outputs and, with
 /// `include_messages`, data-message sends and deliveries.  Past `max_lines`
 /// it counts the matching events left unprinted.
@@ -52,7 +52,7 @@ inline void print_timeline(const obs::RunRecorder& recorder,
     }
   }
   for (std::size_t i = 0; i < lines.size() && i < max_lines; ++i) {
-    std::printf("  %s\n", obs::to_string(*lines[i]).c_str());
+    std::printf("  %s\n", recorder.to_string(*lines[i]).c_str());
   }
   if (lines.size() > max_lines) {
     std::printf("  ... (%zu more entries)\n", lines.size() - max_lines);

@@ -7,8 +7,10 @@
 // the hot protocol data structures and of the event kernel under them.
 #include <array>
 #include <chrono>
+#include <set>
 
 #include "bench_common.h"
+#include "obs/recorder.h"
 #include "sim/scheduler.h"
 #include "speculation/cdg.h"
 #include "speculation/guard_set.h"
@@ -120,10 +122,33 @@ void BM_CdgCycleCheck(benchmark::State& state) {
 }
 BENCHMARK(BM_CdgCycleCheck)->Arg(4)->Arg(16)->Arg(64);
 
+/// Status query on a peer that has been through `incarnations`
+/// incarnations, incarnation i starting at index 3i.  Queries hit
+/// incarnation 3 at indices 0-39: 12 and above read as implicitly aborted,
+/// the rest as unknown after the test against every later start.  The
+/// dense history answers both with one comparison, so ns per query should
+/// not depend on the incarnation count.
 void BM_HistoryImplicitAbortQuery(benchmark::State& state) {
+  const auto incarnations = static_cast<std::uint32_t>(state.range(0));
   spec::PeerHistory h;
-  for (std::uint32_t inc = 1; inc <= 8; ++inc) {
+  for (std::uint32_t inc = 1; inc <= incarnations; ++inc) {
     h.observe_incarnation(inc, inc * 3);
+  }
+  // google-benchmark calls this once per trial run; report each size once.
+  static std::set<std::uint32_t> reported;
+  auto& trajectory = MetricsTrajectory::instance();
+  if (!trajectory.path().empty() && reported.insert(incarnations).second) {
+    // Deterministic answers of one sweep over the queried indices.
+    obs::MetricsRegistry sweep;
+    sweep.counter("incarnations") = h.latest_incarnation();
+    for (std::uint32_t idx = 0; idx < 40; ++idx) {
+      if (h.status(spec::GuessId{1, 3, idx}) == spec::GuessStatus::kAborted) {
+        ++sweep.counter("implicit_aborts");
+      }
+    }
+    trajectory.add(
+        "BM_HistoryImplicitAbortQuery/" + std::to_string(incarnations), 0.0,
+        std::move(sweep));
   }
   std::uint32_t idx = 0;
   for (auto _ : state) {
@@ -131,7 +156,63 @@ void BM_HistoryImplicitAbortQuery(benchmark::State& state) {
     benchmark::DoNotOptimize(s);
   }
 }
-BENCHMARK(BM_HistoryImplicitAbortQuery);
+BENCHMARK(BM_HistoryImplicitAbortQuery)->Arg(8)->Arg(64);
+
+/// Recording cost: each iteration records kRecorderBatch message-sized
+/// events into a fresh recorder, so the event vector's growth (and the
+/// first touch of its pages) is paid as in a run.  The batch is the size
+/// of a large traced run (perfbench's fanout_sharded records 811,392), so
+/// the vector outgrows the allocator's largest heap-served block and the
+/// figure does not depend on what earlier iterations freed.  Details
+/// cycle through four strings, as a run's few kinds and sites do.
+constexpr std::size_t kRecorderBatch = std::size_t{1} << 19;
+
+void BM_RecorderRecord(benchmark::State& state) {
+  static const char* const kDetails[] = {"COMMIT", "COMMIT", "ABORT",
+                                         "put-site"};
+  std::size_t stored_bytes = 0;
+  std::size_t strings = 0;
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    obs::RunRecorder rec;
+    for (std::size_t i = 0; i < kRecorderBatch; ++i) {
+      obs::Event e;
+      e.kind = obs::EventKind::kMsgSent;
+      e.when = static_cast<sim::Time>(i);
+      e.process = 1;
+      e.peer = 2;
+      e.msg_id = i;
+      rec.record(e, kDetails[i % 4]);
+    }
+    benchmark::DoNotOptimize(rec.events().data());
+    // Steady-state storage: the events plus the string table's characters
+    // (vector slack excluded).
+    stored_bytes = rec.events().size() * sizeof(obs::Event);
+    strings = rec.string_count();
+    for (std::uint32_t id = 1; id <= strings; ++id) {
+      stored_bytes += rec.string(id).size();
+    }
+  }
+  const std::chrono::duration<double, std::nano> elapsed =
+      std::chrono::steady_clock::now() - start;
+  const double events =
+      static_cast<double>(state.iterations() * kRecorderBatch);
+  const double bytes_per_event =
+      static_cast<double>(stored_bytes) / static_cast<double>(kRecorderBatch);
+  state.counters["ns_per_event"] = elapsed.count() / events;
+  state.counters["bytes_per_event"] = bytes_per_event;
+  static bool reported = false;
+  auto& trajectory = MetricsTrajectory::instance();
+  if (!trajectory.path().empty() && !reported) {
+    reported = true;
+    obs::MetricsRegistry batch;
+    batch.counter("events_recorded") = kRecorderBatch;
+    batch.counter("strings_interned") = strings;
+    batch.gauge("bytes_per_event") = bytes_per_event;
+    trajectory.add("BM_RecorderRecord", 0.0, std::move(batch));
+  }
+}
+BENCHMARK(BM_RecorderRecord)->Unit(benchmark::kMillisecond);
 
 /// Steady-state kernel load: `pending` events in flight.  Each firing
 /// schedules one 56-byte closure — a delivery's size — at a pseudo-random

@@ -1,6 +1,7 @@
 // Experiment C3 — streaming depth: the right-branching fork structure of
 // section 3.2 at scale.  How does completion time scale with the number of
-// outstanding speculative calls, and what does the bookkeeping cost?
+// outstanding speculative calls, and what does the bookkeeping cost?  The
+// BM_FanoutPairs sweep asks the same of the process count.
 #include <cstdlib>
 #include <new>
 
@@ -149,6 +150,41 @@ BENCHMARK(BM_RelayStreamDepth)
     ->Args({4, 12})
     ->Args({8, 12})
     ->ArgsProduct({{3}, {16, 32, 64, 128, 256}});
+
+/// compute_fanout at 32 calls per client on the per-link network that
+/// perfbench's fanout_sharded runs, sequentially.  Under broadcast control
+/// every COMMIT reaches every peer, so the per-message path (history
+/// update, link table, recorder) carries the run; per-event host cost
+/// should stay flat as the pair count grows.
+baseline::Scenario fanout_for(int pairs, bool targeted) {
+  core::ComputeFanoutParams p;
+  p.pairs = pairs;
+  p.calls = 32;
+  p.spec.control = targeted ? spec::ControlPlane::kTargeted
+                            : spec::ControlPlane::kBroadcast;
+  auto scenario = core::compute_fanout_scenario(p);
+  scenario.options.per_link_net = true;
+  return scenario;
+}
+
+void BM_FanoutPairs(benchmark::State& state) {
+  const int pairs = static_cast<int>(state.range(0));
+  const bool targeted = state.range(1) != 0;
+  baseline::RunResult result;
+  for (auto _ : state) {
+    result = baseline::run_scenario(fanout_for(pairs, targeted), true);
+    benchmark::DoNotOptimize(result.last_completion);
+  }
+  set_counters(state, result);
+  state.counters["time_per_event"] = time_per_event(result);
+  state.counters["allocs_per_event"] =
+      event_costs(fanout_for(pairs, targeted)).allocs;
+}
+// The 64-pair broadcast point runs for about 0.3 s per iteration.
+BENCHMARK(BM_FanoutPairs)
+    ->ArgNames({"pairs", "targeted"})
+    ->ArgsProduct({{8, 32, 64}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace ocsp::bench

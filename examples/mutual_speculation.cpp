@@ -45,7 +45,7 @@ int run_case(const char* label, bool crossing, const std::string& trace_out) {
     if (e.kind == K::kFork || e.kind == K::kCommit || e.kind == K::kAbort ||
         e.kind == K::kRollback || e.kind == K::kJoin ||
         e.kind == K::kCdgCycleDetected) {
-      std::printf("    %s\n", obs::to_string(e).c_str());
+      std::printf("    %s\n", rt->recorder().to_string(e).c_str());
     }
   }
   if (!trace_out.empty()) {

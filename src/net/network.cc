@@ -18,6 +18,8 @@ Network::Network(sim::Scheduler& sched, util::Rng rng)
 
 void Network::register_endpoint(ProcessId id, Handler handler) {
   OCSP_CHECK(handler != nullptr);
+  OCSP_CHECK_MSG(id < kMaxProcesses, "process id out of range");
+  if (id >= endpoints_.size()) endpoints_.resize(std::size_t{id} + 1);
   endpoints_[id] = std::move(handler);
 }
 
@@ -28,12 +30,22 @@ void Network::set_default_link(LinkConfig config) {
 
 void Network::set_link(ProcessId src, ProcessId dst, LinkConfig config) {
   OCSP_CHECK(config.latency != nullptr);
-  links_[{src, dst}] = std::move(config);
+  Link& l = link_entry(src, dst);
+  if (l.config == 0) {
+    configs_.push_back(std::move(config));
+    l.config = static_cast<std::uint32_t>(configs_.size());
+  } else {
+    configs_[l.config - 1] = std::move(config);
+  }
 }
 
-const LinkConfig& Network::link_for(ProcessId src, ProcessId dst) const {
-  auto it = links_.find({src, dst});
-  return it == links_.end() ? default_link_ : it->second;
+Network::Link& Network::link_entry(ProcessId src, ProcessId dst) {
+  OCSP_CHECK_MSG(src < kMaxProcesses && dst < kMaxProcesses,
+                 "process id out of range");
+  if (src >= links_.size()) links_.resize(std::size_t{src} + 1);
+  std::vector<Link>& row = links_[src];
+  if (dst >= row.size()) row.resize(std::size_t{dst} + 1);
+  return row[dst];
 }
 
 void Network::enable_per_link_streams() {
@@ -78,28 +90,30 @@ std::uint64_t Network::link_prio(ProcessId src, ProcessId dst,
 
 sim::Time Network::min_link_delay() const {
   sim::Time lo = default_link_.latency->min_delay();
-  for (const auto& [pair, link] : links_) {
-    lo = std::min(lo, link.latency->min_delay());
+  for (const LinkConfig& config : configs_) {
+    lo = std::min(lo, config.latency->min_delay());
   }
   return lo;
 }
 
-Network::LinkState& Network::link_state(ProcessId src, ProcessId dst) {
-  auto it = link_state_.find({src, dst});
-  if (it == link_state_.end()) {
-    it = link_state_.emplace(std::make_pair(src, dst), LinkState{}).first;
-    it->second.rng = link_stream(per_link_seed_base_, src, dst);
-    it->second.fault_rng = link_fault_stream(per_link_seed_base_, src, dst);
+Network::LinkStreams& Network::streams_of(Link& l, ProcessId src,
+                                          ProcessId dst) {
+  if (l.streams == 0) {
+    streams_.push_back(LinkStreams{link_stream(per_link_seed_base_, src, dst),
+                                   link_fault_stream(per_link_seed_base_, src,
+                                                     dst)});
+    l.streams = static_cast<std::uint32_t>(streams_.size());
   }
-  return it->second;
+  return streams_[l.streams - 1];
 }
 
 MsgId Network::send(ProcessId src, ProcessId dst, MessagePtr payload) {
   OCSP_CHECK(payload != nullptr);
-  LinkState* ls = per_link_ ? &link_state(src, dst) : nullptr;
-  const MsgId id = ls ? link_msg_id(src, dst, ++ls->seq) : next_msg_id_++;
+  Link& l = link_entry(src, dst);
+  LinkStreams* ls = per_link_ ? &streams_of(l, src, dst) : nullptr;
+  const MsgId id = ls ? link_msg_id(src, dst, ++l.seq) : next_msg_id_++;
   util::Rng& draws = ls ? ls->rng : rng_;
-  const LinkConfig& link = link_for(src, dst);
+  const LinkConfig& link = config_of(l);
 
   ++stats_.messages_sent;
   stats_.bytes_sent += payload->wire_size();
@@ -133,9 +147,8 @@ MsgId Network::send(ProcessId src, ProcessId dst, MessagePtr payload) {
 
   sim::Time deliver_at = sched_.now() + delay;
   if (link.fifo) {
-    auto& horizon = ls ? ls->fifo_horizon : fifo_horizon_[{src, dst}];
-    deliver_at = std::max(deliver_at, horizon);
-    horizon = deliver_at;
+    deliver_at = std::max(deliver_at, l.fifo_horizon);
+    l.fifo_horizon = deliver_at;
   }
 
   Envelope env;
@@ -198,12 +211,12 @@ void Network::deliver(const Envelope& env) {
       per_link_ ? link_prio(env.src, env.dst, env.id & 0xffffffff)
                 : sim::Scheduler::kDefaultPrio;
   auto fire = [this, env]() {
-    auto it = endpoints_.find(env.dst);
-    OCSP_CHECK_MSG(it != endpoints_.end(), "delivery to unknown endpoint");
+    OCSP_CHECK_MSG(env.dst < endpoints_.size() && endpoints_[env.dst],
+                   "delivery to unknown endpoint");
     ++stats_.messages_delivered;
     OCSP_DLOG << "net: deliver #" << env.id << " " << env.payload->kind()
               << " " << env.src << "->" << env.dst << " @" << env.delivered_at;
-    it->second(env);
+    endpoints_[env.dst](env);
     if (tracer_) tracer_(env);
   };
   // Every message passes here: a larger Envelope must not bring back a

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -90,8 +89,10 @@ class Network {
 
   Network(sim::Scheduler& sched, util::Rng rng);
 
-  /// Register the receive handler for a process.  Re-registration replaces
-  /// the previous handler (used when a process restarts).
+  /// Register the receive handler for a process (id below kMaxProcesses).
+  /// Re-registration replaces the previous handler.  Register every
+  /// endpoint before the run: a new id may move the handler table, which
+  /// must not happen while a handler runs.
   void register_endpoint(ProcessId id, Handler handler);
 
   /// Default link used for pairs without an override.
@@ -183,18 +184,34 @@ class Network {
   sim::Scheduler& scheduler() { return sched_; }
 
  private:
-  /// Per-ordered-pair state of the deterministic per-link mode.
-  struct LinkState {
-    util::Rng rng{0};
+  /// One entry of the [src][dst] link table: everything send() keeps per
+  /// ordered pair.  Zero-initialized entries read as "default link, nothing
+  /// sent yet".
+  struct Link {
+    /// Earliest permissible delivery time (FIFO enforcement).
+    sim::Time fifo_horizon = 0;
+    /// Sends so far (per-link mode: the message id's sequence number).
+    std::uint64_t seq = 0;
+    /// 0: default_link_; otherwise configs_[config - 1] (set_link).
+    std::uint32_t config = 0;
+    /// 0: no per-link draw yet; otherwise streams_[streams - 1].
+    std::uint32_t streams = 0;
+  };
+  /// The per-link mode's RNG streams of one ordered pair.
+  struct LinkStreams {
+    util::Rng rng;
     /// Fault-decision draws for this link (link_fault_stream); keeps fault
     /// outcomes independent of which executor discovers the sends.
-    util::Rng fault_rng{0};
-    std::uint64_t seq = 0;
-    sim::Time fifo_horizon = 0;
+    util::Rng fault_rng;
   };
 
-  const LinkConfig& link_for(ProcessId src, ProcessId dst) const;
-  LinkState& link_state(ProcessId src, ProcessId dst);
+  /// The table entry of (src, dst), growing src's row on first use.  Both
+  /// ids must be below kMaxProcesses.
+  Link& link_entry(ProcessId src, ProcessId dst);
+  const LinkConfig& config_of(const Link& link) const {
+    return link.config == 0 ? default_link_ : configs_[link.config - 1];
+  }
+  LinkStreams& streams_of(Link& link, ProcessId src, ProcessId dst);
   /// Hand `env` to the router, or queue it here.
   void route(const Envelope& env);
 
@@ -204,10 +221,13 @@ class Network {
   /// advancing it — see the constructor).
   util::Rng fault_rng_;
   LinkConfig default_link_;
-  std::map<std::pair<ProcessId, ProcessId>, LinkConfig> links_;
-  std::map<ProcessId, Handler> endpoints_;
-  /// Earliest permissible delivery time per ordered pair (FIFO enforcement).
-  std::map<std::pair<ProcessId, ProcessId>, sim::Time> fifo_horizon_;
+  /// Link overrides, referenced from the table by Link::config.
+  std::vector<LinkConfig> configs_;
+  /// links_[src][dst]; a row grows to the highest destination src sent to.
+  std::vector<std::vector<Link>> links_;
+  std::vector<LinkStreams> streams_;
+  /// Receive handlers indexed by ProcessId (empty: not registered).
+  std::vector<Handler> endpoints_;
   Tracer tracer_;
   Tracer send_tracer_;
   FaultHook fault_hook_;
@@ -216,7 +236,6 @@ class Network {
   MsgId next_msg_id_ = 1;
   bool per_link_ = false;
   std::uint64_t per_link_seed_base_ = 0;
-  std::map<std::pair<ProcessId, ProcessId>, LinkState> link_state_;
 };
 
 }  // namespace ocsp::net

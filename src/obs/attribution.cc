@@ -5,6 +5,7 @@
 #include <deque>
 #include <map>
 #include <set>
+#include <string_view>
 #include <utility>
 
 #include "util/table.h"
@@ -53,8 +54,8 @@ AttributionReport build_attribution(
     const std::vector<std::string>& process_names) {
   AttributionReport out;
   std::map<SiteKey, SiteScorecard> sites;
-  auto card = [&](ProcessId p, const std::string& site) -> SiteScorecard& {
-    SiteKey key{p, site.empty() ? "(anonymous)" : site};
+  auto card = [&](ProcessId p, std::string_view site) -> SiteScorecard& {
+    SiteKey key{p, site.empty() ? "(anonymous)" : std::string(site)};
     auto [it, inserted] = sites.try_emplace(key);
     if (inserted) {
       it->second.process = p;
@@ -70,10 +71,11 @@ AttributionReport build_attribution(
   std::map<GuessKey, GuessKey> cause_of;   // cascade edge: aborted <- cause
   std::set<GuessKey> roots;                // guesses aborted at the root
   auto note_site = [&](const GuessRef& g, ProcessId p,
-                       const std::string& site) {
+                       std::string_view site) {
     if (!g.valid()) return;
     guess_site.try_emplace(key_of(g),
-                           SiteKey{p, site.empty() ? "(anonymous)" : site});
+                           SiteKey{p, site.empty() ? "(anonymous)"
+                                                   : std::string(site)});
   };
 
   /// Resolve a guess to the root of its abort cascade (cycle-safe).
@@ -98,9 +100,10 @@ AttributionReport build_attribution(
   // ("remote-abort") may precede the owner's own record, so attribution
   // runs in a second pass once every edge is known.
   for (const Event& e : recorder.events()) {
+    const std::string_view detail = recorder.detail(e);
     switch (e.kind) {
       case EventKind::kFork: {
-        SiteScorecard& c = card(e.process, e.detail);
+        SiteScorecard& c = card(e.process, detail);
         ++c.forks;
         if (e.a == 1) {
           ++c.speculative;
@@ -109,25 +112,25 @@ AttributionReport build_attribution(
         } else {
           ++c.sequential;
         }
-        note_site(e.guess, e.process, e.detail);
+        note_site(e.guess, e.process, detail);
         break;
       }
       case EventKind::kGuessMade: {
-        note_site(e.guess, e.process, e.detail);
+        note_site(e.guess, e.process, detail);
         SpecWindow w;
-        w.site = SiteKey{e.process,
-                         e.detail.empty() ? "(anonymous)" : e.detail};
+        w.site = SiteKey{e.process, detail.empty() ? "(anonymous)"
+                                                   : std::string(detail)};
         w.process = e.process;
         w.thread = e.thread;
         spec_windows[key_of(e.guess)] = std::move(w);
         break;
       }
       case EventKind::kSafeForkElided: {
-        SiteScorecard& c = card(e.process, e.detail);
+        SiteScorecard& c = card(e.process, detail);
         c.elided_bytes += e.a;
         SpecWindow w;
-        w.site = SiteKey{e.process,
-                         e.detail.empty() ? "(anonymous)" : e.detail};
+        w.site = SiteKey{e.process, detail.empty() ? "(anonymous)"
+                                                   : std::string(detail)};
         w.process = e.process;
         w.thread = e.thread;
         w.opened_when = static_cast<std::int64_t>(e.when);
@@ -151,16 +154,16 @@ AttributionReport build_attribution(
         break;
       }
       case EventKind::kGuessVerified:
-        ++card(e.process, e.detail).hits;
+        ++card(e.process, detail).hits;
         break;
       case EventKind::kGuessFailed:
-        ++card(e.process, e.detail).misses;
+        ++card(e.process, detail).misses;
         break;
       case EventKind::kCommuteCommit:
-        ++card(e.process, e.detail).commute_commits;
+        ++card(e.process, detail).commute_commits;
         break;
       case EventKind::kCommit: {
-        ++card(e.process, e.detail).commits;
+        ++card(e.process, detail).commits;
         auto it = spec_windows.find(key_of(e.guess));
         if (it != spec_windows.end()) {
           auto sc = sites.find(it->second.site);
@@ -172,8 +175,8 @@ AttributionReport build_attribution(
       case EventKind::kJoin: {
         // A SAFE join carries the site but no guess; close the oldest open
         // SAFE window of that (process, site) and credit its overlap.
-        if (!e.guess.valid() && e.detail != "sequential") {
-          SiteKey key{e.process, e.detail};
+        if (!e.guess.valid() && detail != "sequential") {
+          SiteKey key{e.process, std::string(detail)};
           auto q = safe_windows.find(key);
           if (q != safe_windows.end() && !q->second.empty()) {
             const SpecWindow& w = q->second.front();
@@ -203,13 +206,13 @@ AttributionReport build_attribution(
         break;
       }
       case EventKind::kGovernorDemote: {
-        SiteScorecard& c = card(e.process, e.detail);
+        SiteScorecard& c = card(e.process, detail);
         ++c.governor_demotions;
         c.governor_demoted = true;
         break;
       }
       case EventKind::kGovernorPromote: {
-        SiteScorecard& c = card(e.process, e.detail);
+        SiteScorecard& c = card(e.process, detail);
         ++c.governor_promotions;
         c.governor_demoted = false;
         break;

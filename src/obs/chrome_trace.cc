@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
+#include <string_view>
 
 #include "sim/time.h"
 #include "util/json.h"
@@ -20,7 +21,7 @@ const char* message_category(const Event& e) {
   return "data";
 }
 
-void common_fields(util::JsonWriter& w, const char* name, const char* cat,
+void common_fields(util::JsonWriter& w, std::string_view name, const char* cat,
                    const char* ph, double ts, ProcessId pid,
                    std::uint32_t tid) {
   w.key("name").value(name);
@@ -32,12 +33,13 @@ void common_fields(util::JsonWriter& w, const char* name, const char* cat,
 }
 
 void instant(util::JsonWriter& w, const char* name, const char* cat,
-             const Event& e, std::uint32_t tid) {
+             const Event& e, const RunRecorder& recorder, std::uint32_t tid) {
+  const std::string_view detail = recorder.detail(e);
   w.begin_object();
   common_fields(w, name, cat, "i", us(e.when), e.process, tid);
   w.key("s").value("t");  // thread-scoped instant
   w.key("args").begin_object();
-  if (!e.detail.empty()) w.key("detail").value(e.detail);
+  if (!detail.empty()) w.key("detail").value(detail);
   if (e.guess.valid()) w.key("guess").value(e.guess.to_string());
   if (e.reason != AbortReason::kNone) {
     w.key("reason").value(to_string(e.reason));
@@ -113,9 +115,10 @@ std::string chrome_trace_json(const RunRecorder& recorder,
       reason = to_string(end->reason);
     }
     w.begin_object();
-    const std::string name = guess.to_string() +
-                             (start->detail.empty() ? "" : " " + start->detail);
-    common_fields(w, name.c_str(), "interval", "X", us(start->when),
+    const std::string_view site = recorder.detail(*start);
+    std::string name = guess.to_string();
+    if (!site.empty()) name.append(" ").append(site);
+    common_fields(w, name, "interval", "X", us(start->when),
                   guess.owner, guess.index);
     const double dur = us(end_time) - us(start->when);
     w.key("dur").value(dur > 0.001 ? dur : 0.001);
@@ -123,7 +126,7 @@ std::string chrome_trace_json(const RunRecorder& recorder,
     w.key("args").begin_object();
     w.key("outcome").value(outcome);
     if (reason) w.key("reason").value(reason);
-    if (!start->detail.empty()) w.key("site").value(start->detail);
+    if (!site.empty()) w.key("site").value(site);
     w.key("incarnation").value(
         static_cast<std::uint64_t>(guess.incarnation));
     w.end_object();
@@ -133,23 +136,24 @@ std::string chrome_trace_json(const RunRecorder& recorder,
   for (const auto& e : events) {
     switch (e.kind) {
       case EventKind::kRollback:
-        instant(w, "rollback", "rollback", e, e.thread);
+        instant(w, "rollback", "rollback", e, recorder, e.thread);
         break;
       case EventKind::kCdgCycleDetected:
-        instant(w, "cdg-cycle", "timefault", e, 0);
+        instant(w, "cdg-cycle", "timefault", e, recorder, 0);
         break;
       case EventKind::kExternalReleased:
-        instant(w, "external-release", "external", e, e.thread);
+        instant(w, "external-release", "external", e, recorder, e.thread);
         break;
       case EventKind::kExternalDiscarded:
-        instant(w, "external-discard", "external", e, e.thread);
+        instant(w, "external-discard", "external", e, recorder, e.thread);
         break;
       case EventKind::kMsgDelivered: {
         auto send_it = sends.find(e.msg_id);
         if (send_it == sends.end()) break;  // delivery without a recorded send
         const Event& s = *send_it->second;
         const char* cat = message_category(s);
-        const char* name = s.detail.empty() ? cat : s.detail.c_str();
+        const std::string_view detail = recorder.detail(s);
+        const std::string_view name = detail.empty() ? cat : detail;
         // A 1 us slice at each endpoint anchors the flow arrow.
         w.begin_object();
         common_fields(w, name, cat, "X", us(s.when), s.process, 0);

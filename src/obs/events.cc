@@ -116,7 +116,7 @@ const char* to_string(ControlType c) {
   return "?";
 }
 
-std::string to_string(const Event& e) {
+std::string to_string(const Event& e, std::string_view detail) {
   std::ostringstream os;
   // 15 significant digits keep the time exact to the nanosecond.
   os << "t=" << std::setprecision(15) << sim::to_micros(e.when) << "us  P"
@@ -133,7 +133,7 @@ std::string to_string(const Event& e) {
   if (e.guess_from.valid()) os << " from " << e.guess_from.to_string();
   if (e.reason != AbortReason::kNone) os << "  reason=" << to_string(e.reason);
   if (e.control != ControlType::kNone) os << "  " << to_string(e.control);
-  if (!e.detail.empty()) os << "  " << e.detail;
+  if (!detail.empty()) os << "  " << detail;
   return os.str();
 }
 

@@ -14,6 +14,8 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <type_traits>
 
 #include "sim/time.h"
 #include "util/ids.h"
@@ -96,13 +98,21 @@ struct GuessRef {
   std::string to_string() const;
 };
 
+/// One recorded occurrence.  Trivially copyable and at most 96 bytes, so a
+/// recorder's vector grows by memcpy: fields are ordered widest first to
+/// leave no padding but the tail's.  The free-text part (fork site, message
+/// description, fine reason) lives in the recording RunRecorder's string
+/// table; `detail` is its id there, meaningless in any other recorder.
+/// Read it back with RunRecorder::detail.
 struct Event {
-  EventKind kind = EventKind::kIntervalBegin;
   sim::Time when = 0;
   /// Optional wall-clock timestamp (ns since the run started) beside the
   /// virtual `when`; -1 on simulator runs.  exec::ParallelRuntime's shard
   /// recorders stamp it on every event.
   std::int64_t wall_ns = -1;
+  MsgId msg_id = 0;
+  std::uint64_t a = 0;  ///< kind-specific: fan-out, threads killed, ...
+  std::uint64_t b = 0;  ///< kind-specific: messages requeued, dwell ns, ...
   ProcessId process = kNoProcess;  ///< recording process
   ProcessId peer = kNoProcess;     ///< other endpoint (messages)
   std::uint32_t thread = 0;        ///< thread index within `process`
@@ -110,21 +120,25 @@ struct Event {
   std::uint32_t incarnation = 0;   ///< recording process's incarnation
   GuessRef guess;                  ///< primary subject guess
   GuessRef guess_from;             ///< CDG edge source (kCdgEdgeAdded)
+  /// Id of the detail string in the recording RunRecorder's table; 0 is
+  /// the empty string.
+  std::uint32_t detail = 0;
+  EventKind kind = EventKind::kIntervalBegin;
   AbortReason reason = AbortReason::kNone;
   ControlType control = ControlType::kNone;
-  MsgId msg_id = 0;
-  std::uint64_t a = 0;  ///< kind-specific: fan-out, threads killed, ...
-  std::uint64_t b = 0;  ///< kind-specific: messages requeued, dwell ns, ...
-  std::string detail;   ///< fork site, message description, fine reason
 };
+static_assert(std::is_trivially_copyable_v<Event>,
+              "recorder growth must stay a memcpy");
+static_assert(sizeof(Event) <= 96, "obs::Event outgrew 96 bytes");
 
 const char* to_string(EventKind k);
 const char* to_string(AbortReason r);
 const char* to_string(ControlType c);
 /// One timeline line: "t=<us>us  P<process>[->P<peer>]  <kind>" followed
 /// by the guess (and "from" its source or cause), abort reason, control
-/// type and detail that are set.  Receive-side events draw the arrow from
-/// the sender: "P1<-P0".
-std::string to_string(const Event& e);
+/// type and `detail` (the event's detail string, see
+/// RunRecorder::to_string) that are set.  Receive-side events draw the
+/// arrow from the sender: "P1<-P0".
+std::string to_string(const Event& e, std::string_view detail);
 
 }  // namespace ocsp::obs

@@ -41,8 +41,7 @@ Host::Host(util::Rng net_rng, const net::LinkConfig& default_link,
       ev.peer = env.dst;
       ev.msg_id = env.id;
       ev.a = fd.drop ? 1 : (fd.corrupt ? 2 : 3);
-      ev.detail = fd.cause;
-      recorder_->record(std::move(ev));
+      recorder_->record(ev, fd.cause);
     });
     network_.set_fault_hook([this](const net::Envelope& env, util::Rng& rng) {
       return injector_->decide(env, rng);
@@ -57,7 +56,7 @@ Host::Host(util::Rng net_rng, const net::LinkConfig& default_link,
         ev.peer = dst;
         ev.msg_id = seq;
         ev.a = static_cast<std::uint64_t>(attempt);
-        recorder_->record(std::move(ev));
+        recorder_->record(ev);
       });
   transport_.set_duplicate_observer(
       [this](ProcessId dst, ProcessId src, std::uint64_t seq) {
@@ -67,13 +66,15 @@ Host::Host(util::Rng net_rng, const net::LinkConfig& default_link,
         ev.process = dst;
         ev.peer = src;
         ev.msg_id = seq;
-        recorder_->record(std::move(ev));
+        recorder_->record(ev);
       });
 }
 
 void Host::record_msg_event(obs::EventKind kind, const net::Envelope& env) {
   if (!recorder_->enabled()) return;  // skip describing the payload
-  recorder_->record(make_msg_event(kind, env, scheduler_.now()));
+  std::string detail;
+  const obs::Event ev = make_msg_event(kind, env, scheduler_.now(), detail);
+  recorder_->record(ev, detail);
 }
 
 void Host::add_counters(obs::MetricsRegistry& m) const {

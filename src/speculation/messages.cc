@@ -65,7 +65,7 @@ std::string ControlMessage::describe() const {
 }
 
 obs::Event make_msg_event(obs::EventKind kind, const net::Envelope& env,
-                          sim::Time now) {
+                          sim::Time now, std::string& detail) {
   const bool sent = kind == obs::EventKind::kMsgSent;
   obs::Event ev;
   ev.kind = kind;
@@ -76,7 +76,7 @@ obs::Event make_msg_event(obs::EventKind kind, const net::Envelope& env,
   ev.a = env.payload->wire_size();
   // A send observed with delivered_at == 0 was dropped by the link.
   ev.b = sent && env.delivered_at == 0 ? 1 : 0;
-  const auto ctl = std::dynamic_pointer_cast<const ControlMessage>(env.payload);
+  const auto* ctl = dynamic_cast<const ControlMessage*>(env.payload.get());
   if (ctl) {
     switch (ctl->control) {
       case ControlKind::kCommit:
@@ -94,7 +94,7 @@ obs::Event make_msg_event(obs::EventKind kind, const net::Envelope& env,
   }
   // A data send carries its full description (operation, arguments, guard
   // tag), which the figure timelines print; everything else its kind.
-  ev.detail = sent && !ctl ? env.payload->describe() : env.payload->kind();
+  detail = sent && !ctl ? env.payload->describe() : env.payload->kind();
   return ev;
 }
 

@@ -52,8 +52,9 @@ class ControlMessage final : public net::Message {
 /// every executor must record it (the shards=1 bit-for-bit oracle compares
 /// these field by field): process/peer by direction, a = wire size, b = 1
 /// on a dropped send, control type and guess ref from control payloads,
-/// detail = the payload's describe() on a non-control send, else its kind().
+/// and `detail` = the payload's describe() on a non-control send, else its
+/// kind() (for the recorder to intern).
 obs::Event make_msg_event(obs::EventKind kind, const net::Envelope& env,
-                          sim::Time now);
+                          sim::Time now, std::string& detail);
 
 }  // namespace ocsp::spec

@@ -92,7 +92,8 @@ const char* counted_metric(obs::EventKind k) {
 
 }  // namespace
 
-void SpeculativeProcess::record(obs::Event ev) {
+void SpeculativeProcess::record(const obs::Event& ev,
+                                std::string_view detail) {
   if (std::uint64_t SpecStats::*field = counted_field(ev)) ++(stats_.*field);
   if (ev.kind == obs::EventKind::kCommuteCommit) {
     stats_.commute_forgiven_vars += ev.a;
@@ -100,7 +101,7 @@ void SpeculativeProcess::record(obs::Event ev) {
   if (const char* metric = counted_metric(ev.kind)) {
     ++live_metrics_.counter(metric);
   }
-  host_.recorder().record(std::move(ev));
+  host_.recorder().record(ev, detail);
 }
 
 obs::GuessRef SpeculativeProcess::guess_ref(const GuessId& g) {
@@ -136,9 +137,8 @@ void SpeculativeProcess::record_abort(const GuessId& g,
   ev.guess = guess_ref(g);
   ev.thread = g.index;
   ev.reason = reason;
-  ev.detail = detail;
   if (cause.valid() && !(cause == g)) ev.guess_from = guess_ref(cause);
-  record(std::move(ev));
+  record(ev, detail);
   // Soundness oracle: a SAFE-classified site must never raise a value or
   // time fault (timeouts and cascades are liveness/collateral, not
   // interference at the site itself).
@@ -160,12 +160,13 @@ void SpeculativeProcess::record_work_discarded(const ThreadCtx& t,
   ev.thread = t.index;
   ev.interval = t.interval;
   ev.a = static_cast<std::uint64_t>(discarded_ns);
+  std::string_view site;
   if (t.has_own_guess) {
     ev.guess = guess_ref(t.own_guess);
-    ev.detail = t.own_site;
+    site = t.own_site;
   }
   if (cause.valid()) ev.guess_from = guess_ref(cause);
-  record(std::move(ev));
+  record(ev, site);
 }
 
 obs::MetricsRegistry SpeculativeProcess::metrics_view() const {
@@ -300,8 +301,7 @@ bool SpeculativeProcess::handle_effect(ThreadCtx& t, csp::Effect effect) {
         oe.thread = t.index;
         oe.interval = t.interval;
         oe.a = pos;
-        oe.detail = effect.value.to_string();
-        record(std::move(oe));
+        record(oe, effect.value.to_string());
       }
       record_event(t, std::move(ev));
       return true;
@@ -322,11 +322,12 @@ bool SpeculativeProcess::handle_effect(ThreadCtx& t, csp::Effect effect) {
             ev.thread = idx;
             ev.interval = th.interval;
             ev.a = static_cast<std::uint64_t>(duration);
+            std::string_view site;
             if (th.has_own_guess) {
               ev.guess = guess_ref(th.own_guess);
-              ev.detail = th.own_site;
+              site = th.own_site;
             }
-            record(std::move(ev));
+            record(ev, site);
             th.machine.resume();
             set_phase(th, ThreadCtx::Phase::kRunning);
             schedule_step(idx);
@@ -346,7 +347,7 @@ bool SpeculativeProcess::handle_effect(ThreadCtx& t, csp::Effect effect) {
         ev.thread = t.index;
         ev.interval = t.interval;
         ev.a = t.guard.size();
-        record(std::move(ev));
+        record(ev);
         after_guard_change();
       }
       return false;
@@ -443,8 +444,7 @@ void SpeculativeProcess::flush_events(ThreadCtx& t) {
             .add(static_cast<double>(dwell) / 1000.0);
         external_buffered_at_.erase(buffered);
       }
-      oe.detail = e.data.to_string();
-      record(std::move(oe));
+      record(oe, e.data.to_string());
     }
     ++t.flushed_count;
   }
@@ -483,7 +483,7 @@ void SpeculativeProcess::check_completion() {
     obs::Event ev = make_event(obs::EventKind::kThreadResolved);
     ev.thread = t.index;
     ev.interval = t.interval;
-    record(std::move(ev));
+    record(ev);
   }
   if (!program_finished_) return;
   // The program body finished; completion needs every thread terminated.
@@ -526,7 +526,7 @@ void SpeculativeProcess::take_checkpoint(const ThreadCtx& t) {
     const bool deep = config_.state == StateStrategy::kDeepCopy;
     ev.a = deep ? payload : sizeof(csp::Env);
     ev.b = deep ? 0 : payload;
-    record(std::move(ev));
+    record(ev);
   }
   const StateIndex at = current_index(t);
   checkpoints_.insert_or_assign(at, std::move(snapshot));

@@ -26,6 +26,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -450,8 +451,8 @@ class SpeculativeProcess {
   /// safe_forks, aborts_* by reason, externals_*, crashes,
   /// crash_recoveries, governor_demotions/promotions; the guesses_*
   /// metrics), then hand the event on.  Counting does not depend on the
-  /// recorder storing events.
-  void record(obs::Event ev);
+  /// recorder storing events.  `detail` is interned by the recorder.
+  void record(const obs::Event& ev, std::string_view detail = {});
   /// Event pre-filled with kind, virtual time, process id, incarnation.
   obs::Event make_event(obs::EventKind kind) const;
   static obs::GuessRef guess_ref(const GuessId& g);

@@ -32,7 +32,7 @@ void SpeculativeProcess::on_message(const net::Envelope& env) {
       ev.guess = guess_ref(ctl->subject);
       ev.control = obs_control(ctl->control);
       ev.msg_id = env.id;
-      record(std::move(ev));
+      record(ev);
     }
     switch (ctl->control) {
       case ControlKind::kCommit:
@@ -81,8 +81,7 @@ void SpeculativeProcess::forward_control(ControlKind kind,
     ev.guess = guess_ref(subject);
     ev.control = obs_control(kind);
     ev.a = fanout;
-    ev.detail = "forward";
-    record(std::move(ev));
+    record(ev, "forward");
     obs::control_fanout_hist(live_metrics_).add(static_cast<double>(fanout));
   }
 }

@@ -51,7 +51,7 @@ void SpeculativeProcess::distribute_control(ControlKind kind,
     ev.guess = guess_ref(subject);
     ev.control = obs_control(kind);
     ev.a = fanout;
-    record(std::move(ev));
+    record(ev);
     obs::control_fanout_hist(live_metrics_).add(static_cast<double>(fanout));
   }
   // Control goes straight onto the network, bypassing the reliable
@@ -280,8 +280,7 @@ void SpeculativeProcess::kill_thread(std::uint32_t index,
     obs::Event ev = make_event(obs::EventKind::kThreadResolved);
     ev.thread = t.index;
     ev.interval = t.interval;
-    ev.detail = "killed";
-    record(std::move(ev));
+    record(ev, "killed");
   }
   if (t.has_own_guess) own_aborted.push_back(t.own_guess);
   if (t.has_pending_join && t.join_guess.valid()) {
@@ -301,8 +300,7 @@ void SpeculativeProcess::kill_thread(std::uint32_t index,
       obs::Event ev = make_event(obs::EventKind::kExternalDiscarded);
       ev.thread = t.index;
       ev.a = i;
-      ev.detail = t.event_log[i].data.to_string();
-      record(std::move(ev));
+      record(ev, t.event_log[i].data.to_string());
       external_buffered_at_.erase({t.index, i});
     }
   }
@@ -449,8 +447,7 @@ void SpeculativeProcess::rollback_to(const StateIndex& target) {
     ev.interval = target.interval;
     ev.a = doomed.size();
     ev.b = requeued.size();
-    ev.detail = target.to_string();
-    record(std::move(ev));
+    record(ev, target.to_string());
     obs::rollback_distance_hist(live_metrics_)
         .add(static_cast<double>(pre_interval - target.interval));
   }
@@ -737,14 +734,14 @@ void SpeculativeProcess::on_precedence_msg(const GuessId& subject,
       obs::Event ev = make_event(obs::EventKind::kCdgEdgeAdded);
       ev.guess = guess_ref(subject);
       ev.guess_from = guess_ref(h);
-      record(std::move(ev));
+      record(ev);
     }
     if (!cycle.empty()) {
       obs::Event ev = make_event(obs::EventKind::kCdgCycleDetected);
       ev.guess = guess_ref(subject);
       ev.guess_from = guess_ref(h);
       ev.a = cycle.size();
-      record(std::move(ev));
+      record(ev);
     }
     for (const auto& c : cycle) {
       if (c.owner == id_ &&

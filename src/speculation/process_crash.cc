@@ -55,7 +55,7 @@ void SpeculativeProcess::restart() {
   {
     obs::Event ev = make_event(obs::EventKind::kRecovery);
     ev.a = root_aborts;
-    record(std::move(ev));
+    record(ev);
   }
   OCSP_DLOG << name_ << ": restarted at t=" << host_.scheduler().now()
             << " (aborted " << root_aborts << " own guesses)";
@@ -119,15 +119,13 @@ void SpeculativeProcess::governor_outcome(const std::string& site,
       s.ewma >= kGovernorDemoteThreshold) {
     s.demoted = true;
     obs::Event ev = make_event(obs::EventKind::kGovernorDemote);
-    ev.detail = site;
-    record(std::move(ev));
+    record(ev, site);
     OCSP_DLOG << name_ << ": governor demoted site " << site
               << " (ewma=" << s.ewma << ")";
   } else if (s.demoted && s.ewma <= kGovernorPromoteThreshold) {
     s.demoted = false;
     obs::Event ev = make_event(obs::EventKind::kGovernorPromote);
-    ev.detail = site;
-    record(std::move(ev));
+    record(ev, site);
     OCSP_DLOG << name_ << ": governor promoted site " << site
               << " (ewma=" << s.ewma << ")";
   }

@@ -140,13 +140,11 @@ void SpeculativeProcess::do_fork(ThreadCtx& t, const csp::ForkStmt& f) {
       fe.thread = t.index;
       fe.interval = t.interval;
       fe.a = 2;  // SAFE fast path
-      fe.detail = f.site;
-      record(std::move(fe));
+      record(fe, f.site);
       obs::Event ie = make_event(obs::EventKind::kIntervalBegin);
       ie.thread = new_index;
       ie.a = 2;
-      ie.detail = f.site;
-      record(std::move(ie));
+      record(ie, f.site);
       // The scorecard's zero-cost entry: state bytes a speculative fork
       // would have snapshotted here, elided along with the guess/guard/
       // verification machinery.
@@ -154,8 +152,7 @@ void SpeculativeProcess::do_fork(ThreadCtx& t, const csp::ForkStmt& f) {
       se.thread = new_index;
       se.interval = t.interval;
       se.a = r.machine.state_bytes();
-      se.detail = f.site;
-      record(std::move(se));
+      record(se, f.site);
     }
 
     insert_thread(std::move(r));
@@ -188,12 +185,10 @@ void SpeculativeProcess::do_fork(ThreadCtx& t, const csp::ForkStmt& f) {
       obs::Event fe = make_event(obs::EventKind::kFork);
       fe.thread = t.index;
       fe.interval = t.interval;
-      fe.detail = f.site;
-      record(std::move(fe));
+      record(fe, f.site);
       obs::Event ie = make_event(obs::EventKind::kIntervalBegin);
       ie.thread = t.join_right_index;
-      ie.detail = f.site;
-      record(std::move(ie));
+      record(ie, f.site);
     }
     ++t.interval;  // give the post-fork state its own index
     if (config_.rollback == RollbackStrategy::kReplayFromLog) {
@@ -245,20 +240,17 @@ void SpeculativeProcess::do_fork(ThreadCtx& t, const csp::ForkStmt& f) {
     fe.interval = t.interval;
     fe.guess = guess_ref(guess);
     fe.a = 1;  // speculative
-    fe.detail = f.site;
-    record(std::move(fe));
+    record(fe, f.site);
     obs::Event ie = make_event(obs::EventKind::kIntervalBegin);
     ie.thread = new_index;
     ie.guess = guess_ref(guess);
     ie.a = 1;
-    ie.detail = f.site;
-    record(std::move(ie));
+    record(ie, f.site);
     obs::Event ge = make_event(obs::EventKind::kGuessMade);
     ge.thread = new_index;
     ge.guess = guess_ref(guess);
     ge.a = f.passed.size();
-    ge.detail = f.site;
-    record(std::move(ge));
+    record(ge, f.site);
   }
 
   ThreadCtx& right = insert_thread(std::move(r));
@@ -297,8 +289,7 @@ void SpeculativeProcess::do_join_inner(ThreadCtx& left) {
     je.thread = left.index;
     je.interval = left.interval;
     if (!sequential && !safe_join) je.guess = guess_ref(left.join_guess);
-    je.detail = sequential ? "sequential" : left.join_site;
-    record(std::move(je));
+    record(je, sequential ? "sequential" : left.join_site);
   }
 
   if (safe_join) {
@@ -358,8 +349,7 @@ void SpeculativeProcess::do_join_inner(ThreadCtx& left) {
                                          : obs::EventKind::kGuessVerified);
     ge.thread = left.index;
     ge.guess = guess_ref(left.join_guess);
-    ge.detail = left.join_site;
-    record(std::move(ge));
+    record(ge, left.join_site);
     left.join_forgiven = value_fault ? 0 : forgiven;
   }
 
@@ -437,8 +427,7 @@ void SpeculativeProcess::finalize_join_commit(ThreadCtx& left) {
     obs::Event ce = make_event(obs::EventKind::kCommit);
     ce.thread = left.index;
     ce.guess = guess_ref(guess);
-    ce.detail = left.join_site;
-    record(std::move(ce));
+    record(ce, left.join_site);
   }
   if (left.join_forgiven != 0) {
     // The verifier found mismatched guesses but every one was forgiven by
@@ -447,8 +436,7 @@ void SpeculativeProcess::finalize_join_commit(ThreadCtx& left) {
     ce.thread = left.index;
     ce.guess = guess_ref(guess);
     ce.a = left.join_forgiven;
-    ce.detail = left.join_site;
-    record(std::move(ce));
+    record(ce, left.join_site);
     left.join_forgiven = 0;
   }
   site_aborts_[left.join_site] = 0;

@@ -9,18 +9,19 @@
 #include <gtest/gtest.h>
 
 #include "core/workloads.h"
-#include "obs/events.h"
+#include "obs/recorder.h"
 
 namespace ocsp {
 namespace {
 
-/// Every recorded event of the run, one obs::to_string line each.
+/// Every recorded event of the run, one obs::to_string line each (with
+/// its detail string, never the per-recorder id).
 std::string events_of(const baseline::Scenario& scenario, bool spec) {
   auto rt = baseline::make_runtime(scenario, spec);
   rt->run(sim::seconds(120));
   std::string out;
   for (const auto& e : rt->recorder().events()) {
-    out += obs::to_string(e) + "\n";
+    out += rt->recorder().to_string(e) + "\n";
   }
   return out;
 }

@@ -167,7 +167,8 @@ TEST(Gc, PerGuessMapsEmptyOnceQuiet) {
   EXPECT_GT(peak_steps, 0u);
   std::size_t forwards = 0;
   for (const auto& ev : rt->recorder().events()) {
-    if (ev.kind == obs::EventKind::kControlSent && ev.detail == "forward") {
+    if (ev.kind == obs::EventKind::kControlSent &&
+        rt->recorder().detail(ev) == "forward") {
       ++forwards;
     }
   }

@@ -249,5 +249,18 @@ TEST(LatencyModels, ExponentialAboveBase) {
   EXPECT_NEAR(sum / 5000.0, 150.0, 5.0);
 }
 
+TEST(NetworkDeathTest, ProcessIdBeyondTheLinkTableFailsACheck) {
+  // Per-link message ids encode 16 bits of each endpoint: a larger id must
+  // stop the run, not grow the [src][dst] table.
+  Fixture f;
+  EXPECT_DEATH(f.net.send(kMaxProcesses, 0, std::make_shared<TestMessage>(1)),
+               "process id out of range");
+  EXPECT_DEATH(f.net.send(0, kMaxProcesses, std::make_shared<TestMessage>(1)),
+               "process id out of range");
+  EXPECT_DEATH(
+      f.net.register_endpoint(kMaxProcesses, [](const Envelope&) {}),
+      "process id out of range");
+}
+
 }  // namespace
 }  // namespace ocsp::net

@@ -2,10 +2,13 @@
 // reconcile exactly with the recorded events, and must not change when the
 // recorder stores nothing; the Chrome trace exporter must emit a
 // well-formed document (per-process tracks, commit/abort-tagged slices,
-// PRECEDENCE flows); and the metrics snapshot must carry the canonical
-// counters and histograms.
+// PRECEDENCE flows); the metrics snapshot must carry the canonical
+// counters and histograms; and the recorder's string table must give every
+// event its detail back, merged or not, at no allocation before first use.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <new>
 #include <string>
 #include <utility>
 #include <vector>
@@ -14,9 +17,26 @@
 #include "fault/plan.h"
 #include "obs/chrome_trace.h"
 #include "obs/events.h"
+#include "obs/merge.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "util/json.h"
+
+// Every global operator new in this binary is counted (as in sim_test), so
+// a test can assert that constructing a recorder allocates nothing.
+namespace {
+std::size_t g_allocations = 0;
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  ++g_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace ocsp {
 namespace {
@@ -421,6 +441,102 @@ TEST(ObsRecorder, DisabledRecorderDropsEverything) {
   rec.clear();
   EXPECT_EQ(rec.count(EventKind::kAbort), 0u);
   EXPECT_TRUE(rec.events().empty());
+}
+
+TEST(ObsRecorder, DisabledRecorderInternsNothing) {
+  obs::RunRecorder rec;
+  rec.set_enabled(false);
+  obs::Event e;
+  e.kind = EventKind::kFork;
+  rec.record(e, "site");
+  EXPECT_TRUE(rec.events().empty());
+  EXPECT_EQ(rec.string_count(), 0u);
+}
+
+obs::Event event_at(sim::Time when) {
+  obs::Event e;
+  e.kind = EventKind::kFork;
+  e.when = when;
+  e.process = 1;
+  return e;
+}
+
+TEST(ObsRecorder, DetailRoundTripsThroughTheStringTable) {
+  obs::RunRecorder rec;
+  rec.record(event_at(1), "site-a");
+  rec.record(event_at(2));
+  rec.record(event_at(3), "site-b");
+  rec.record(event_at(4), "site-a");
+  const auto& ev = rec.events();
+  ASSERT_EQ(ev.size(), 4u);
+  EXPECT_EQ(rec.detail(ev[0]), "site-a");
+  EXPECT_EQ(rec.detail(ev[1]), "");
+  EXPECT_EQ(ev[1].detail, 0u);
+  EXPECT_EQ(rec.detail(ev[2]), "site-b");
+  EXPECT_EQ(ev[3].detail, ev[0].detail);  // one entry per distinct string
+  EXPECT_EQ(rec.string_count(), 2u);
+  // The timeline line still ends with the detail.
+  EXPECT_EQ(rec.to_string(ev[0]), "t=0.001us  P1  fork  site-a");
+  EXPECT_EQ(rec.to_string(ev[1]), "t=0.002us  P1  fork");
+}
+
+TEST(ObsRecorder, StringTableGrowsAndKeepsEveryString) {
+  // Enough strings to rehash the table several times, and views taken
+  // early must stay valid.
+  obs::RunRecorder rec;
+  std::vector<std::string> strings;
+  for (int i = 0; i < 3000; ++i) {
+    strings.push_back("site-" + std::to_string(i) +
+                      std::string(static_cast<std::size_t>(i % 40), 'x'));
+  }
+  strings.push_back(std::string(5000, 'L'));
+  std::vector<std::uint32_t> ids;
+  for (const auto& str : strings) ids.push_back(rec.intern(str));
+  const std::string_view first = rec.string(ids.front());
+  for (std::size_t i = 0; i < strings.size(); ++i) {
+    EXPECT_EQ(ids[i], i + 1);
+    EXPECT_EQ(rec.intern(strings[i]), ids[i]);  // found, not re-added
+    EXPECT_EQ(rec.string(ids[i]), strings[i]);
+  }
+  EXPECT_EQ(first, strings.front());
+  EXPECT_EQ(rec.string_count(), strings.size());
+  EXPECT_EQ(rec.intern(""), 0u);
+}
+
+TEST(ObsRecorder, MergeRemapsEachPartsDetailIds) {
+  // The same and different strings, interned in different orders, so the
+  // two parts give "shared" and "x" different ids.
+  obs::RunRecorder a;
+  obs::RunRecorder b;
+  a.record(event_at(10), "x");
+  a.record(event_at(30), "shared");
+  a.record(event_at(50));
+  a.record(event_at(70), "only-a");
+  b.record(event_at(20), "shared");
+  b.record(event_at(40), "y");
+  b.record(event_at(60), "x");
+  ASSERT_NE(a.events()[0].detail, b.events()[2].detail);
+  ASSERT_NE(a.events()[1].detail, b.events()[0].detail);
+
+  const auto merged = obs::merge_recorders({&a, &b});
+  std::vector<std::string> details;
+  for (const auto& e : merged->events()) {
+    details.emplace_back(merged->detail(e));
+  }
+  EXPECT_EQ(details, (std::vector<std::string>{"x", "shared", "shared", "y",
+                                               "", "x", "only-a"}));
+  EXPECT_EQ(merged->string_count(), 4u);
+}
+
+TEST(ObsRecorder, ConstructionAllocatesNothing) {
+  const std::size_t before = g_allocations;
+  {
+    obs::RunRecorder rec;
+    // Keep the recorder from being optimized away.
+    asm volatile("" : : "g"(&rec) : "memory");
+    EXPECT_TRUE(rec.events().empty());
+  }
+  EXPECT_EQ(g_allocations, before);
 }
 
 }  // namespace

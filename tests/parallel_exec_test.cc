@@ -294,7 +294,8 @@ TEST(ParallelGvt, FenceNeverCommitsPastAStraggler) {
 // ---------------------------------------------------------------------------
 
 // Serialize every Event field except wall_ns (simulator runs leave it -1,
-// shard recorders stamp real time).
+// shard recorders stamp real time), with the detail id read back as its
+// string: ids are per recorder.
 std::string serialize_events(const obs::RunRecorder& rec) {
   std::ostringstream os;
   for (const auto& e : rec.events()) {
@@ -303,7 +304,7 @@ std::string serialize_events(const obs::RunRecorder& rec) {
        << e.incarnation << '|' << e.guess.to_string() << '|'
        << e.guess_from.to_string() << '|' << static_cast<int>(e.reason)
        << '|' << static_cast<int>(e.control) << '|' << e.msg_id << '|'
-       << e.a << '|' << e.b << '|' << e.detail << '\n';
+       << e.a << '|' << e.b << '|' << rec.detail(e) << '\n';
   }
   return os.str();
 }

@@ -165,7 +165,8 @@ TEST(ParallelChaos, FaultCountersMatchSequentialPerLinkRun) {
 // kRetransmit, kDuplicateSuppressed, and the crash/recovery events.
 // ---------------------------------------------------------------------------
 
-// Serialize every Event field except wall_ns (as parallel_exec_test does).
+// Serialize every Event field except wall_ns, detail as its string (as
+// parallel_exec_test does).
 std::string serialize_events(const obs::RunRecorder& rec) {
   std::ostringstream os;
   for (const auto& e : rec.events()) {
@@ -174,7 +175,7 @@ std::string serialize_events(const obs::RunRecorder& rec) {
        << e.incarnation << '|' << e.guess.to_string() << '|'
        << e.guess_from.to_string() << '|' << static_cast<int>(e.reason)
        << '|' << static_cast<int>(e.control) << '|' << e.msg_id << '|'
-       << e.a << '|' << e.b << '|' << e.detail << '\n';
+       << e.a << '|' << e.b << '|' << rec.detail(e) << '\n';
   }
   return os.str();
 }

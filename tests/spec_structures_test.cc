@@ -4,11 +4,19 @@
 // (section 4.1.4 cycle detection).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "speculation/cdg.h"
 #include "speculation/guard_set.h"
 #include "speculation/history.h"
 #include "speculation/messages.h"
 #include "speculation/predictor.h"
+#include "util/rng.h"
 
 namespace ocsp::spec {
 namespace {
@@ -189,6 +197,157 @@ TEST(HistoryTable, AggregateQueries) {
   ASSERT_EQ(unresolved.size(), 2u);  // aborted + unknown; committed dropped
   GuardSet clean{g(2, 0, 1)};
   EXPECT_FALSE(t.any_aborted(clean));
+}
+
+TEST(HistoryTableDeathTest, OwnerBeyondTheProcessIdRangeFailsACheck) {
+  HistoryTable t;
+  EXPECT_DEATH(t.set_status(g(kMaxProcesses, 0, 1), GuessStatus::kCommitted),
+               "out of process-id range");
+  EXPECT_DEATH(t.observe_incarnation(kMaxProcesses, 1, 0),
+               "out of process-id range");
+  EXPECT_EQ(t.status(g(kMaxProcesses, 0, 1)), GuessStatus::kUnknown);
+  EXPECT_EQ(t.find_peer(kMaxProcesses), nullptr);
+}
+
+// Reference model: the map-and-walk history (an ordered map of explicit
+// entries, a start table, and a walk over every later incarnation per
+// query) that the dense arrays replaced.
+class MapPeerHistory {
+ public:
+  bool set_status(const GuessId& g, GuessStatus status) {
+    const auto key = std::pair(g.incarnation, g.index);
+    const bool was_aborted = this->status(g) == GuessStatus::kAborted;
+    auto it = entries_.find(key);
+    if (it != entries_.end()) {
+      if (it->second != GuessStatus::kUnknown &&
+          status == GuessStatus::kUnknown) {
+        return false;
+      }
+      it->second = status;
+    } else {
+      entries_[key] = status;
+    }
+    const bool start_moved = observe_incarnation(g.incarnation, g.index);
+    return start_moved || was_aborted != (status == GuessStatus::kAborted);
+  }
+  GuessStatus status(const GuessId& g) const {
+    auto it = entries_.find(std::pair(g.incarnation, g.index));
+    if (it != entries_.end()) return it->second;
+    for (auto jt = starts_.upper_bound(g.incarnation); jt != starts_.end();
+         ++jt) {
+      if (jt->second <= g.index) return GuessStatus::kAborted;
+    }
+    return GuessStatus::kUnknown;
+  }
+  bool observe_incarnation(std::uint32_t inc, std::uint32_t start) {
+    auto [it, inserted] = starts_.try_emplace(inc, start);
+    if (inserted) return true;
+    if (start >= it->second) return false;
+    it->second = start;
+    return true;
+  }
+  std::uint32_t latest_incarnation() const {
+    return starts_.empty() ? 0 : starts_.rbegin()->first;
+  }
+  std::size_t explicit_entries() const { return entries_.size(); }
+  std::string to_string() const {
+    std::ostringstream os;
+    os << "starts{";
+    for (const auto& [inc, start] : starts_) os << " i" << inc << "@" << start;
+    os << " } entries{";
+    for (const auto& [key, st] : entries_) {
+      os << " (" << key.first << "," << key.second
+         << ")=" << spec::to_string(st);
+    }
+    os << " }";
+    return os.str();
+  }
+
+ private:
+  std::map<std::uint32_t, std::uint32_t> starts_;
+  std::map<std::pair<std::uint32_t, std::uint32_t>, GuessStatus> entries_;
+};
+
+TEST(HistoryTable, MatchesMapReferenceUnderRandomOps) {
+  // Indices around a first sighting at 20: below it, at its edges, and far
+  // above it.
+  const std::vector<std::uint32_t> indices = {0,  1,  5,  9,   10,  19,  20,
+                                              21, 33, 64, 199, 300, 301};
+  constexpr ProcessId kOwners = 3;
+  util::Rng rng(2026);
+  HistoryTable table;
+  std::map<ProcessId, MapPeerHistory> model;
+  std::vector<GuessId> seen;  // guesses set so far, to re-set them
+  std::uint32_t top_inc = 0;  // highest incarnation any operation named
+  const auto pick_inc = [&]() -> std::uint32_t {
+    // Mostly small, sometimes a jump (a frame-carried tag).
+    return rng.bernoulli(0.1)
+               ? static_cast<std::uint32_t>(rng.uniform_int(6, 40))
+               : static_cast<std::uint32_t>(rng.uniform_int(0, 5));
+  };
+  const auto pick_index = [&]() -> std::uint32_t {
+    return rng.bernoulli(0.8)
+               ? indices[static_cast<std::size_t>(rng.uniform_int(
+                     0, static_cast<std::int64_t>(indices.size()) - 1))]
+               : static_cast<std::uint32_t>(rng.uniform_int(0, 400));
+  };
+  const GuessStatus statuses[] = {GuessStatus::kUnknown,
+                                  GuessStatus::kCommitted,
+                                  GuessStatus::kAborted};
+  for (int op = 0; op < 1500; ++op) {
+    const std::uint64_t epoch = table.abort_epoch();
+    bool model_moved = false;
+    std::string what;
+    if (rng.bernoulli(0.7)) {
+      GuessId guess;
+      if (!seen.empty() && rng.bernoulli(0.4)) {
+        // Re-set a known guess: unknown after final, final after unknown,
+        // final after final.
+        guess = seen[static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(seen.size()) - 1))];
+      } else {
+        guess = g(static_cast<ProcessId>(rng.uniform_int(0, kOwners - 1)),
+                  pick_inc(), pick_index());
+        seen.push_back(guess);
+      }
+      const GuessStatus st = statuses[rng.uniform_int(0, 2)];
+      what = "set_status " + guess.to_string() + " " + to_string(st);
+      table.set_status(guess, st);
+      model_moved = model[guess.owner].set_status(guess, st);
+      top_inc = std::max(top_inc, guess.incarnation);
+    } else {
+      const auto owner =
+          static_cast<ProcessId>(rng.uniform_int(0, kOwners - 1));
+      const std::uint32_t inc = pick_inc();
+      const std::uint32_t start = pick_index();
+      what = "observe_incarnation P" + std::to_string(owner) + " i" +
+             std::to_string(inc) + "@" + std::to_string(start);
+      table.observe_incarnation(owner, inc, start);
+      model_moved = model[owner].observe_incarnation(inc, start);
+      top_inc = std::max(top_inc, inc);
+    }
+    SCOPED_TRACE("op " + std::to_string(op) + ": " + what);
+    ASSERT_EQ(table.abort_epoch() != epoch, model_moved);
+    // Owner kOwners is never touched: unknown everywhere, no peer record.
+    for (ProcessId owner = 0; owner <= kOwners; ++owner) {
+      const PeerHistory* peer = table.find_peer(owner);
+      auto m = model.find(owner);
+      ASSERT_EQ(peer == nullptr, m == model.end());
+      if (peer != nullptr) {
+        ASSERT_EQ(peer->latest_incarnation(), m->second.latest_incarnation());
+        ASSERT_EQ(peer->explicit_entries(), m->second.explicit_entries());
+        ASSERT_EQ(peer->to_string(), m->second.to_string());
+      }
+      for (std::uint32_t inc = 0; inc <= top_inc + 1; ++inc) {
+        for (std::uint32_t index : indices) {
+          const GuessId q = g(owner, inc, index);
+          const GuessStatus want = m == model.end() ? GuessStatus::kUnknown
+                                                    : m->second.status(q);
+          ASSERT_EQ(table.status(q), want) << q.to_string();
+        }
+      }
+    }
+  }
 }
 
 // ---- Cdg ------------------------------------------------------------

@@ -1,6 +1,6 @@
 // Unit tests for the util layer: deterministic RNG, statistics
-// accumulators, the sparse vector backing commit histories, the flat set
-// backing guard sets, and the bench table printer.
+// accumulators, the flat set backing guard sets, and the bench table
+// printer.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,7 +9,6 @@
 #include "util/flat_set.h"
 #include "util/json.h"
 #include "util/rng.h"
-#include "util/sparse_vector.h"
 #include "util/stats.h"
 #include "util/table.h"
 
@@ -183,44 +182,6 @@ TEST(Histogram, BucketsAndClamping) {
   EXPECT_EQ(h.bucket(9), 2u);
   EXPECT_EQ(h.total(), 4u);
   EXPECT_DOUBLE_EQ(h.bucket_lo(5), 5.0);
-}
-
-// ---- SparseVector ------------------------------------------------------------------
-
-TEST(SparseVector, DefaultsForMissing) {
-  SparseVector<int> v(7);
-  EXPECT_EQ(v.get(0), 7);
-  EXPECT_EQ(v.get(1000000), 7);
-  EXPECT_EQ(v.explicit_count(), 0u);
-}
-
-TEST(SparseVector, ExplicitEntriesStored) {
-  SparseVector<int> v(0);
-  v.set(5, 42);
-  EXPECT_EQ(v.get(5), 42);
-  EXPECT_TRUE(v.has_explicit(5));
-  EXPECT_FALSE(v.has_explicit(4));
-  EXPECT_EQ(v.explicit_count(), 1u);
-}
-
-TEST(SparseVector, WritingDefaultErasesEntry) {
-  // Section 4.1.5: committed entries (the default) must not consume space.
-  SparseVector<int> v(1);
-  v.set(3, 9);
-  EXPECT_EQ(v.explicit_count(), 1u);
-  v.set(3, 1);  // back to the default
-  EXPECT_EQ(v.explicit_count(), 0u);
-  EXPECT_EQ(v.get(3), 1);
-}
-
-TEST(SparseVector, IterationInIndexOrder) {
-  SparseVector<int> v(0);
-  v.set(9, 1);
-  v.set(2, 2);
-  v.set(5, 3);
-  std::vector<std::size_t> order;
-  for (const auto& [i, val] : v) order.push_back(i);
-  EXPECT_EQ(order, (std::vector<std::size_t>{2, 5, 9}));
 }
 
 // ---- FlatSet ------------------------------------------------------------------
