@@ -1,7 +1,8 @@
 // Experiment C3 — streaming depth: the right-branching fork structure of
 // section 3.2 at scale.  How does completion time scale with the number of
 // outstanding speculative calls, and what does the bookkeeping cost?  The
-// BM_FanoutPairs sweep asks the same of the process count.
+// BM_FanoutPairs sweep asks the same of the process count, and
+// BM_AbortStormDepth of the call count under an abort storm.
 #include <cstdlib>
 #include <new>
 
@@ -185,6 +186,36 @@ BENCHMARK(BM_FanoutPairs)
     ->ArgNames({"pairs", "targeted"})
     ->ArgsProduct({{8, 32, 64}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
+
+/// The abort storm (every third guess verifies): rollbacks, kills,
+/// requeues and cascades carry the run, so per-event host cost should stay
+/// flat in the call count once killing a thread costs what it discards.
+baseline::Scenario storm_for(int calls) {
+  core::AbortStormParams p;
+  p.calls = calls;
+  p.hit_period = 3;
+  return core::abort_storm_scenario(p);
+}
+
+void BM_AbortStormDepth(benchmark::State& state) {
+  const int calls = static_cast<int>(state.range(0));
+  baseline::RunResult result;
+  for (auto _ : state) {
+    result = baseline::run_scenario(storm_for(calls), true);
+    benchmark::DoNotOptimize(result.last_completion);
+  }
+  set_counters(state, result);
+  state.counters["time_per_event"] = time_per_event(result);
+  const EventCosts costs = event_costs(storm_for(calls));
+  state.counters["bookkeeping_per_event"] = costs.bookkeeping;
+  state.counters["allocs_per_event"] = costs.allocs;
+}
+BENCHMARK(BM_AbortStormDepth)
+    ->ArgName("calls")
+    ->Arg(15)
+    ->Arg(30)
+    ->Arg(60)
+    ->Arg(120);
 
 }  // namespace
 }  // namespace ocsp::bench

@@ -30,6 +30,7 @@ RunResult run_scenario(const Scenario& scenario, bool speculation,
   result.finished_at = rt->run(deadline);
   result.last_completion = rt->last_completion_time();
   result.all_completed = rt->all_clients_completed();
+  result.stalled = rt->scheduler().empty() && !result.all_completed;
   result.stats = rt->total_stats();
   result.trace = rt->committed_trace();
   result.network = rt->network().stats();

@@ -52,6 +52,10 @@ struct RunResult {
   sim::Time finished_at = 0;        ///< virtual time when the run drained
   sim::Time last_completion = 0;    ///< latest client completion time
   bool all_completed = false;
+  /// The event queue drained with a client incomplete: nothing left to
+  /// run could finish it (a message lost for good, a reply never sent).  A
+  /// run cut off by its deadline with events still pending is not stalled.
+  bool stalled = false;
   spec::SpecStats stats;
   trace::CommittedTrace trace;
   net::NetworkStats network;

@@ -206,6 +206,14 @@ sim::Time ParallelRuntime::run(sim::Time deadline) {
   return latest;
 }
 
+bool ParallelRuntime::drained() const {
+  for (const auto& s : shards_) {
+    std::lock_guard<std::mutex> lk(s->inbox_mu);
+    if (!s->scheduler().empty() || !s->inbox.empty()) return false;
+  }
+  return true;
+}
+
 obs::MetricsRegistry ParallelRuntime::metrics() const {
   obs::MetricsRegistry m = merged_process_metrics();
   for (const auto& s : shards_) s->add_counters(m);
@@ -262,6 +270,7 @@ ParallelRunResult run_scenario_parallel(const baseline::Scenario& scenario,
   out.wall_ns = ns_since(t0);
   out.result.last_completion = rt.last_completion_time();
   out.result.all_completed = rt.all_clients_completed();
+  out.result.stalled = rt.drained() && !out.result.all_completed;
   out.result.stats = rt.total_stats();
   out.result.trace = rt.committed_trace();
   out.result.network = rt.network_stats();

@@ -147,6 +147,9 @@ class ParallelRuntime final : public spec::ProcessTable {
   sim::Time run(sim::Time deadline = sim::kTimeNever);
 
   int workers() const { return workers_; }
+  /// Every shard's event queue and inbox is empty: the run ended because
+  /// nothing was left to do, not at its deadline.
+  bool drained() const;
   /// Window length: minimum latency over all configured links.  Valid
   /// after run() started.
   sim::Time lookahead() const { return lookahead_; }

@@ -199,11 +199,26 @@ StateIndex SpeculativeProcess::current_index(const ThreadCtx& t) const {
 std::vector<std::pair<StateIndex, csp::Env>>
 SpeculativeProcess::checkpoint_envs() const {
   std::vector<std::pair<StateIndex, csp::Env>> out;
-  out.reserve(checkpoints_.size());
-  for (const auto& [key, snapshot] : checkpoints_) {
-    out.emplace_back(key, snapshot.machine.env());
+  for (const auto& [thread, log] : logs_) {
+    for (const auto& [key, snapshot] : log.checkpoints) {
+      out.emplace_back(key, snapshot.machine.env());
+    }
   }
+  std::sort(out.begin(), out.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
   return out;
+}
+
+std::size_t SpeculativeProcess::checkpoint_count() const {
+  std::size_t n = 0;
+  for (const auto& [thread, log] : logs_) n += log.checkpoints.size();
+  return n;
+}
+
+std::size_t SpeculativeProcess::input_log_size() const {
+  std::size_t n = 0;
+  for (const auto& [thread, log] : logs_) n += log.inputs.size();
+  return n;
 }
 
 std::size_t SpeculativeProcess::live_thread_count() const {
@@ -406,7 +421,7 @@ void SpeculativeProcess::record_event(ThreadCtx& t,
                                       trace::ObservableEvent event) {
   t.event_log.push_back(std::move(event));
   // Committed immediately when program order allows it.  During replay the
-  // flush point is restored from ReplayMeta afterwards.
+  // flush point is restored from the target's replay record afterwards.
   if (!replaying_ && flush_ready(t)) flush_events(t);
 }
 
@@ -529,15 +544,20 @@ void SpeculativeProcess::take_checkpoint(const ThreadCtx& t) {
     record(ev);
   }
   const StateIndex at = current_index(t);
-  checkpoints_.insert_or_assign(at, std::move(snapshot));
-  new_checkpoints_.push_back(at);
-  note_state(at);
+  log_for(at).checkpoints.insert_or_assign(at, std::move(snapshot));
+  checkpointed_.push_back(t.index);
 }
 
-void SpeculativeProcess::note_state(const StateIndex& at) {
-  // A thread's state is keyed at its current index, which never precedes
-  // its earlier state, so the first key is a floor for all of it.
-  state_floor_.try_emplace(at.thread, at);
+SpeculativeProcess::RollbackLog& SpeculativeProcess::log_for(
+    const StateIndex& at) {
+  RollbackLog& log = logs_[at.thread];
+  auto ascends = [&](const auto& keyed) {
+    return keyed.empty() || !(at < keyed.rbegin()->first);
+  };
+  OCSP_CHECK_MSG(ascends(log.checkpoints) && ascends(log.replay_meta) &&
+                     ascends(log.inputs),
+                 "a thread's rollback log keys went back");
+  return log;
 }
 
 // ---------------------------------------------------------------------------
@@ -563,7 +583,7 @@ ThreadCtx& SpeculativeProcess::insert_thread(ThreadCtx t) {
   return th;
 }
 
-void SpeculativeProcess::erase_thread(
+std::map<std::uint32_t, ThreadCtx>::node_type SpeculativeProcess::erase_thread(
     std::map<std::uint32_t, ThreadCtx>::iterator it) {
   const ThreadCtx& t = it->second;
   for (const auto& [g, at] : t.rollbacks) unindex_rollback(t.index, g, at);
@@ -571,7 +591,7 @@ void SpeculativeProcess::erase_thread(
   if (t.phase != ThreadCtx::Phase::kTerminated) --live_threads_;
   unsettled_.erase(t.index);
   dirty_threads_.insert(t.index);  // gone: its state may be unreachable
-  threads_.erase(it);
+  return threads_.extract(it);
 }
 
 void SpeculativeProcess::terminate_thread(ThreadCtx& t) {

@@ -213,8 +213,8 @@ class SpeculativeProcess {
   std::uint32_t current_incarnation() const { return incarnation_; }
   bool crashed() const { return crashed_; }
   std::size_t pending_message_count() const { return pending_.size(); }
-  std::size_t checkpoint_count() const { return checkpoints_.size(); }
-  std::size_t input_log_size() const { return input_log_.size(); }
+  std::size_t checkpoint_count() const;
+  std::size_t input_log_size() const;
   /// Env of every retained checkpoint, keyed by state index (deterministic
   /// order; Env copies are O(1)).  Differential tests compare these across
   /// state strategies.
@@ -253,9 +253,9 @@ class SpeculativeProcess {
 
   /// Elements the speculation bookkeeping has visited so far: thread-table
   /// entries its loops walk, rollback entries indexed or scrubbed, index
-  /// entries the GC reads, and checkpoints, replay records and logged
-  /// inputs the GC sweep examines (growth tests divide it by kernel
-  /// events).
+  /// entries the GC reads, and rollback-log records (checkpoints, replay
+  /// records, logged inputs) the GC sweep, a discard or a replay examines
+  /// (growth tests divide it by kernel events).
   std::uint64_t bookkeeping_visits() const { return bookkeeping_visits_; }
 
  private:
@@ -362,29 +362,45 @@ class SpeculativeProcess {
 
   // ---- rollback (4.1.3) ---------------------------------------------------
   void take_checkpoint(const ThreadCtx& t);
+  struct LoggedInput;
+  struct RollbackLog;
+  /// The log of the thread `at` names, for a record keyed `at`; CHECKs that
+  /// the thread's keys never decrease.
+  RollbackLog& log_for(const StateIndex& at);
   void rollback_to(const StateIndex& target);
-  /// `emit_discard` is false only for a rollback target that is about to be
-  /// restored: its discarded compute is the kill-time total minus whatever
-  /// the restored checkpoint retains, emitted by rollback_to afterwards.
-  void kill_thread(std::uint32_t index, std::vector<GuessId>& own_aborted,
-                   bool emit_discard = true);
+  /// The one way threads die.  Kill the `doomed` threads (ascending
+  /// indexes), highest first; drop their rollback logs and requeue every
+  /// input those held at the front of pending_, in acceptance order; then
+  /// ABORT every own guess that died with them (`died`: right threads' and
+  /// pending joins'), naming rollback_cause_.  A rollback passes the state
+  /// it restores: that thread's log is cut only after the restore point,
+  /// and the thread comes back from there before the cascade.  An own-guess
+  /// abort passes its guess as `root`, whose ABORT goes out before the
+  /// cascade's.  Returns how many inputs were requeued.
+  std::size_t discard_threads(const std::vector<std::uint32_t>& doomed,
+                              const std::optional<StateIndex>& restore,
+                              const GuessId& root, std::vector<GuessId>& died);
+  /// Drop `thread`'s log records keyed after `after` (all when absent),
+  /// moving its inputs to `inputs`.
+  void cut_log(std::uint32_t thread, const std::optional<StateIndex>& after,
+               std::vector<LoggedInput>& inputs);
   void restore_thread(const StateIndex& target);
   /// Replay strategy: reconstruct the thread state at `target` from the
-  /// nearest earlier full checkpoint plus the logged inputs.
-  ThreadCtx rebuild_by_replay(const StateIndex& checkpoint_key,
+  /// latest full checkpoint in its `log` plus the inputs logged since.
+  ThreadCtx rebuild_by_replay(const RollbackLog& log,
                               const StateIndex& target);
   /// Drive a replaying machine until it blocks, suppressing already-
   /// performed side effects.
   void replay_until_blocked(ThreadCtx& t);
   /// Apply one logged input to a replaying thread.
-  struct LoggedInput;
   void replay_feed(ThreadCtx& t, const LoggedInput& entry);
 
   // ---- thread table and rollback-point index ------------------------------
   /// Add a thread at a free index, indexing its rollback map.
   ThreadCtx& insert_thread(ThreadCtx t);
-  /// Remove a thread from the table and the index.
-  void erase_thread(std::map<std::uint32_t, ThreadCtx>::iterator it);
+  /// Remove a thread from the table and the index, handing it back.
+  std::map<std::uint32_t, ThreadCtx>::node_type erase_thread(
+      std::map<std::uint32_t, ThreadCtx>::iterator it);
   void terminate_thread(ThreadCtx& t);
   /// The one way a tabled thread changes phase: keeps the per-phase sets
   /// and the live count in step.
@@ -420,18 +436,14 @@ class SpeculativeProcess {
   /// rollback_summary() filtered entry by entry; `resolved` tells whether
   /// any entry was skipped.
   RollbackSummary filtered_summary(bool& resolved) const;
-  /// Prune what became unreachable since the last sweep: all state of
-  /// the threads that died or lost their last target, if now dead and
-  /// untargeted, and each thread's state below its latest checkpoint at or
+  /// Prune what became unreachable since the last sweep: the whole log of
+  /// each thread that died or lost its last target, if now dead and
+  /// untargeted, and each log's records before its latest checkpoint at or
   /// before the low-water mark.  Targets are `summary.targets` when
   /// `filtered`, else the index's.
   void sweep_resolved_state(const RollbackSummary& summary, bool filtered);
-  /// Drop `thread`'s checkpoints, replay records and logged inputs keyed
-  /// in [from, to), where `from` and `to` name `thread`.
-  void prune_thread_state(std::uint32_t thread, const StateIndex& from,
-                          const StateIndex& to);
-  /// A checkpoint, replay record or logged input was keyed at `at`.
-  void note_state(const StateIndex& at);
+  /// Drop `log`'s records keyed before `keep`.
+  void prune_log(RollbackLog& log, const StateIndex& keep);
   void record_event(ThreadCtx& t, trace::ObservableEvent event);
   void flush_events(ThreadCtx& t);
   void flush_logs();
@@ -567,34 +579,37 @@ class SpeculativeProcess {
     StateIndex pre;  ///< state index just before acceptance (rollback point)
     std::uint64_t seq = 0;  ///< acceptance order (rollbacks requeue by it)
     net::Envelope env;
-  };  // (declared above for replay_feed)
-  /// Accepted data messages keyed by `at` (one per acceptance).
-  std::map<StateIndex, LoggedInput> input_log_;
-  std::uint64_t next_input_seq_ = 0;
-
-  std::map<StateIndex, ThreadCtx> checkpoints_;
-
-  /// Replay strategy bookkeeping, keyed by rollback point (the state index
-  /// just before a dependency-introducing acceptance).
+  };
+  /// Replay strategy bookkeeping at a rollback point (the state index just
+  /// before a dependency-introducing acceptance).
   struct ReplayMeta {
     std::uint64_t sent_count = 0;
     std::size_t flushed_count = 0;
     std::int64_t outstanding_reqid = -1;
   };
-  std::map<StateIndex, ReplayMeta> replay_meta_;
+  /// One thread index's rollback log (4.1.3): its full checkpoints, replay
+  /// records and accepted data messages, each keyed by the thread's state
+  /// index when it recorded them.  A thread's keys only grow (a rollback
+  /// cuts the restored thread's log after the restore point, and the
+  /// thread's later records carry the bumped incarnation), so a rollback
+  /// cuts the back of a log and the GC prunes its front.
+  struct RollbackLog {
+    std::map<StateIndex, ThreadCtx> checkpoints;
+    std::map<StateIndex, ReplayMeta> replay_meta;
+    std::map<StateIndex, LoggedInput> inputs;
+  };
+  /// By thread index; a log leaves the map when it empties.
+  std::map<std::uint32_t, RollbackLog> logs_;
+  std::uint64_t next_input_seq_ = 0;
   bool replaying_ = false;
 
   /// What the GC sweep must look at again.  The sweep last ran against
   /// low-water mark swept_low_ (when swept_any_); since then these threads
-  /// died or lost their last targeting entry, and these checkpoints were
-  /// taken.
+  /// died or lost their last targeting entry, and these took a checkpoint.
   bool swept_any_ = false;
   StateIndex swept_low_;
   std::set<std::uint32_t> dirty_threads_;
-  std::vector<StateIndex> new_checkpoints_;
-  /// Per thread with retained state, a key at or below all of it: its
-  /// first state, then its latest pruning bound.
-  std::map<std::uint32_t, StateIndex> state_floor_;
+  std::vector<std::uint32_t> checkpointed_;
   /// index_may_hold_resolved() bookkeeping: the history abort epoch at
   /// which the index last held only unresolved guesses, and whether an
   /// entry of a resolved guess was inserted since.

@@ -318,9 +318,8 @@ void SpeculativeProcess::accept_message(ThreadCtx& t,
       take_checkpoint(t);
       t.accepts_since_checkpoint = 0;
     } else {
-      replay_meta_[rollback_point] =
+      log_for(rollback_point).replay_meta[rollback_point] =
           ReplayMeta{t.sent_count, t.flushed_count, t.outstanding_reqid};
-      note_state(rollback_point);
     }
   }
   ++t.interval;
@@ -337,11 +336,11 @@ void SpeculativeProcess::accept_message(ThreadCtx& t,
 
   const StateIndex at = current_index(t);
   const bool fresh =
-      input_log_
+      log_for(at)
+          .inputs
           .emplace(at, LoggedInput{at, rollback_point, next_input_seq_++, env})
           .second;
   OCSP_CHECK_MSG(fresh, "two acceptances at one state index");
-  note_state(at);
 }
 
 }  // namespace ocsp::spec

@@ -3,14 +3,15 @@
 // COMMIT removes a guess (and its implied-committed CDG predecessors) from
 // the process's CDG and every thread; ABORT computes the Abortset per
 // thread, finds the earliest rollback point, kills every thread created
-// after it, restores the target thread from its checkpoint, cascades ABORTs
-// for our own guesses that died, and requeues the non-orphan input messages
-// that were consumed after the restore point (Figure 5: "Z must re-read
-// message C2 after rolling back").  PRECEDENCE adds edges to the process's
-// one CDG and aborts our own guesses on any cycle (time fault, Figures 4
-// and 7).
+// after it and restores the target thread from its checkpoint.  A rollback
+// and an own-guess abort kill through one discard path: it drops the dead
+// threads' rollback logs (the restored thread's after the restore point),
+// requeues the input messages they had consumed (Figure 5: "Z must re-read
+// message C2 after rolling back"; the orphan filter drops the tainted
+// ones), and cascades ABORTs for our own guesses that died.  PRECEDENCE
+// adds edges to the process's one CDG and aborts our own guesses on any
+// cycle (time fault, Figures 4 and 7).
 #include <algorithm>
-#include <tuple>
 
 #include "speculation/process.h"
 #include "speculation/process_table.h"
@@ -206,46 +207,29 @@ void SpeculativeProcess::abort_own_guess(const GuessId& g) {
     governor_outcome(site, /*aborted=*/true);
   }
 
-  // Kill the guarded thread and everything the chain forked after it.
-  const GuessId saved_cause = rollback_cause_;
-  rollback_cause_ = g;
-  std::vector<GuessId> cascade;
-  std::vector<std::uint32_t> doomed;
-  // No retired thread is among them: a settled thread at or past g.index
+  // Kill the guarded thread and everything the chain forked after it.  No
+  // retired thread is among them: a settled thread at or past g.index
   // means g committed.
   OCSP_CHECK_MSG(g.index >= retired_end_, "abort reaches a retired thread");
+  std::vector<std::uint32_t> doomed;
   for (auto it = threads_.lower_bound(g.index); it != threads_.end(); ++it) {
     ++bookkeeping_visits_;
     doomed.push_back(it->first);
   }
-  for (auto it = doomed.rbegin(); it != doomed.rend(); ++it) {
-    kill_thread(*it, cascade);
-  }
+  const GuessId saved_cause = rollback_cause_;
+  rollback_cause_ = g;
+  std::vector<GuessId> died;
+  discard_threads(doomed, std::nullopt, g, died);
   rollback_cause_ = saved_cause;
   if (!doomed.empty()) {
-    ++incarnation_;
     incarnation_start_ = g.index;
     max_thread_ = g.index == 0 ? 0 : g.index - 1;
   }
-  distribute_control(ControlKind::kAbort, g, {});
-  std::uint64_t cascaded = 0;
-  for (const auto& c : cascade) {
-    if (c == g) continue;
-    if (history_.status(c) == GuessStatus::kUnknown) {
-      history_.set_status(c, GuessStatus::kAborted);
-      history_.observe_incarnation(id_, c.incarnation + 1, c.index);
-      ++cascaded;
-      record_abort(c, obs::AbortReason::kCascade, "killed-with-thread", g);
-      distribute_control(ControlKind::kAbort, c, {});
-    }
-  }
-  obs::abort_cascade_depth_hist(live_metrics_)
-      .add(static_cast<double>(cascaded));
 
   // Threads below g.index may have been contaminated by g through message
   // tags (the Figure 4 time fault); run the generic abort machinery.
   abort_guess_local(g);
-  for (const auto& c : cascade) {
+  for (const auto& c : died) {
     if (!(c == g)) abort_guess_local(c);
   }
 
@@ -267,47 +251,6 @@ void SpeculativeProcess::abort_own_guess(const GuessId& g) {
   process_arrivals();
 }
 
-void SpeculativeProcess::kill_thread(std::uint32_t index,
-                                     std::vector<GuessId>& own_aborted,
-                                     bool emit_discard) {
-  auto it = threads_.find(index);
-  if (it == threads_.end()) return;
-  ThreadCtx& t = it->second;
-  if (emit_discard) {
-    record_work_discarded(t, t.compute_ns, rollback_cause_);
-  }
-  if (t.phase == ThreadCtx::Phase::kDoneWaitGuard) {
-    obs::Event ev = make_event(obs::EventKind::kThreadResolved);
-    ev.thread = t.index;
-    ev.interval = t.interval;
-    record(ev, "killed");
-  }
-  if (t.has_own_guess) own_aborted.push_back(t.own_guess);
-  if (t.has_pending_join && t.join_guess.valid()) {
-    own_aborted.push_back(t.join_guess);
-    cancel_fork_timer(t.join_guess);
-  }
-  auto timer = compute_timers_.find(index);
-  if (timer != compute_timers_.end()) {
-    host_.scheduler().cancel(timer->second);
-    compute_timers_.erase(timer);
-  }
-  if (t.phase == ThreadCtx::Phase::kAwaitReply && t.outstanding_reqid >= 0) {
-    outstanding_calls_.erase(t.outstanding_reqid);
-  }
-  for (std::size_t i = t.flushed_count; i < t.event_log.size(); ++i) {
-    if (t.event_log[i].kind == trace::ObservableEvent::Kind::kExternalOutput) {
-      obs::Event ev = make_event(obs::EventKind::kExternalDiscarded);
-      ev.thread = t.index;
-      ev.a = i;
-      record(ev, t.event_log[i].data.to_string());
-      external_buffered_at_.erase({t.index, i});
-    }
-  }
-  erase_thread(it);
-  join_rescan_ = true;  // a join-waiter's right thread may be gone
-}
-
 void SpeculativeProcess::rollback_to(const StateIndex& target) {
   // Rollback distance: how many intervals the target thread is wound back.
   std::uint32_t pre_interval = target.interval;
@@ -323,84 +266,14 @@ void SpeculativeProcess::rollback_to(const StateIndex& target) {
   std::vector<std::uint32_t> doomed;
   for (auto& [idx, t] : threads_) {
     ++bookkeeping_visits_;
-    if (t.created_at > target) {
-      doomed.push_back(idx);
-    } else if (idx == target.thread) {
-      doomed.push_back(idx);  // replaced by the checkpoint
-    }
+    if (t.created_at > target || idx == target.thread) doomed.push_back(idx);
   }
-
-  // State recorded after the target by the rolled-back threads belongs to
-  // the abandoned timeline; a later replay-base search must never pick it
-  // up.  Threads that survive (forked before the restore point) keep
-  // theirs.  The post-rollback re-execution records fresh state under the
-  // bumped incarnation, created after this purge.
-  auto abandoned = [&](const StateIndex& key) {
-    if (!(target < key)) return false;
-    if (key.thread == target.thread) return true;
-    return std::find(doomed.begin(), doomed.end(), key.thread) !=
-           doomed.end();
-  };
-  for (auto it = checkpoints_.upper_bound(target);
-       it != checkpoints_.end();) {
-    it = abandoned(it->first) ? checkpoints_.erase(it) : std::next(it);
-  }
-  for (auto it = replay_meta_.upper_bound(target);
-       it != replay_meta_.end();) {
-    it = abandoned(it->first) ? replay_meta_.erase(it) : std::next(it);
-  }
-  // The rollback target is restored from a checkpoint, not killed outright:
-  // its discarded compute is whatever it accumulated beyond what the
-  // restored checkpoint retains, so defer the accounting until after the
-  // restore.  (If the checkpoint turns out to be a zombie and gets dropped,
-  // the retained amount is simply zero.)
-  sim::Time target_pre_compute = 0;
-  ThreadCtx target_snapshot{};
-  bool have_target = false;
-  if (auto tgt = threads_.find(target.thread); tgt != threads_.end()) {
-    target_pre_compute = tgt->second.compute_ns;
-    target_snapshot.index = tgt->second.index;
-    target_snapshot.interval = tgt->second.interval;
-    target_snapshot.has_own_guess = tgt->second.has_own_guess;
-    target_snapshot.own_guess = tgt->second.own_guess;
-    target_snapshot.own_site = tgt->second.own_site;
-    have_target = true;
-  }
-  std::vector<GuessId> cascade;
-  for (auto it = doomed.rbegin(); it != doomed.rend(); ++it) {
-    const bool is_target = *it == target.thread;
-    kill_thread(*it, cascade, /*emit_discard=*/!is_target);
-  }
-  if (!doomed.empty()) ++incarnation_;
-
-  restore_thread(target);
-  if (have_target) {
-    sim::Time retained = 0;
-    if (auto tgt = threads_.find(target.thread); tgt != threads_.end()) {
-      retained = tgt->second.compute_ns;
-    }
-    if (target_pre_compute > retained) {
-      record_work_discarded(target_snapshot, target_pre_compute - retained,
-                            rollback_cause_);
-    }
-  }
+  std::vector<GuessId> died;
+  const std::size_t requeued =
+      discard_threads(doomed, target, GuessId{}, died);
   max_thread_ = threads_.empty() ? 0 : threads_.rbegin()->first;
   if (retired_end_ != 0) max_thread_ = std::max(max_thread_, retired_end_ - 1);
 
-  // Cascade aborts for our own guesses that died with the killed threads.
-  std::uint64_t cascaded = 0;
-  for (const auto& c : cascade) {
-    if (history_.status(c) == GuessStatus::kUnknown) {
-      history_.set_status(c, GuessStatus::kAborted);
-      history_.observe_incarnation(id_, c.incarnation + 1, c.index);
-      ++cascaded;
-      record_abort(c, obs::AbortReason::kCascade, "killed-by-rollback",
-                   rollback_cause_);
-      distribute_control(ControlKind::kAbort, c, {});
-    }
-  }
-  obs::abort_cascade_depth_hist(live_metrics_)
-      .add(static_cast<double>(cascaded));
   // Parents whose speculative child died must re-execute S2 at their join.
   for (auto& [idx, t] : threads_) {
     ++bookkeeping_visits_;
@@ -417,69 +290,162 @@ void SpeculativeProcess::rollback_to(const StateIndex& target) {
     }
   }
 
-  // Requeue inputs consumed after the restore point (Figure 5), in
-  // acceptance order; the orphan filter runs again when they are
-  // re-delivered.
-  std::vector<LoggedInput> requeued;
-  for (auto it = input_log_.upper_bound(target); it != input_log_.end();) {
-    ++bookkeeping_visits_;
-    // Only the rolled-back threads' consumptions are undone; messages a
-    // surviving thread consumed stay consumed.
-    const std::uint32_t thread = it->first.thread;
-    const bool undone =
-        thread == target.thread ||
-        std::find(doomed.begin(), doomed.end(), thread) != doomed.end();
-    if (undone) {
-      requeued.push_back(std::move(it->second));
-      ++stats_.messages_redelivered;
-      it = input_log_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  std::sort(requeued.begin(), requeued.end(),
-            [](const LoggedInput& a, const LoggedInput& b) {
-              return a.seq < b.seq;
-            });
   {
     obs::Event ev = make_event(obs::EventKind::kRollback);
     ev.thread = target.thread;
     ev.interval = target.interval;
     ev.a = doomed.size();
-    ev.b = requeued.size();
+    ev.b = requeued;
     record(ev, target.to_string());
     obs::rollback_distance_hist(live_metrics_)
         .add(static_cast<double>(pre_interval - target.interval));
   }
-  for (auto it = requeued.rbegin(); it != requeued.rend(); ++it) {
-    queue_pending(it->env, /*front=*/true);
-  }
-
   process_arrivals();
 }
 
-ThreadCtx SpeculativeProcess::rebuild_by_replay(const StateIndex& base,
+std::size_t SpeculativeProcess::discard_threads(
+    const std::vector<std::uint32_t>& doomed,
+    const std::optional<StateIndex>& restore, const GuessId& root,
+    std::vector<GuessId>& died) {
+  // A restored target is not killed outright: its discarded compute is
+  // whatever it accumulated beyond what the restored checkpoint retains,
+  // accounted after the restore.  (If the checkpoint turns out to be a
+  // zombie and gets dropped, the retained amount is simply zero.)
+  std::optional<ThreadCtx> target;
+  for (auto idx = doomed.rbegin(); idx != doomed.rend(); ++idx) {
+    auto it = threads_.find(*idx);
+    if (it == threads_.end()) continue;
+    ThreadCtx& t = it->second;
+    const bool restored = restore && t.index == restore->thread;
+    if (!restored) record_work_discarded(t, t.compute_ns, rollback_cause_);
+    if (t.phase == ThreadCtx::Phase::kDoneWaitGuard) {
+      obs::Event ev = make_event(obs::EventKind::kThreadResolved);
+      ev.thread = t.index;
+      ev.interval = t.interval;
+      record(ev, "killed");
+    }
+    if (t.has_own_guess) died.push_back(t.own_guess);
+    if (t.has_pending_join && t.join_guess.valid()) {
+      died.push_back(t.join_guess);
+      cancel_fork_timer(t.join_guess);
+    }
+    auto timer = compute_timers_.find(t.index);
+    if (timer != compute_timers_.end()) {
+      host_.scheduler().cancel(timer->second);
+      compute_timers_.erase(timer);
+    }
+    if (t.phase == ThreadCtx::Phase::kAwaitReply && t.outstanding_reqid >= 0) {
+      outstanding_calls_.erase(t.outstanding_reqid);
+    }
+    for (std::size_t i = t.flushed_count; i < t.event_log.size(); ++i) {
+      if (t.event_log[i].kind ==
+          trace::ObservableEvent::Kind::kExternalOutput) {
+        obs::Event ev = make_event(obs::EventKind::kExternalDiscarded);
+        ev.thread = t.index;
+        ev.a = i;
+        record(ev, t.event_log[i].data.to_string());
+        external_buffered_at_.erase({t.index, i});
+      }
+    }
+    auto node = erase_thread(it);
+    if (restored) target = std::move(node.mapped());
+    join_rescan_ = true;  // a join-waiter's right thread may be gone
+  }
+
+  // What the dead threads logged belongs to the abandoned timeline: a
+  // later replay-base search must never pick it up, and the inputs they
+  // consumed go back in front of the queue (Figure 5: "Z must re-read
+  // message C2 after rolling back"), in acceptance order, where the orphan
+  // filter runs again.  The restored thread keeps its log up to the
+  // restore point.
+  std::vector<LoggedInput> inputs;
+  for (std::uint32_t idx : doomed) {
+    if (!restore || idx != restore->thread) cut_log(idx, std::nullopt, inputs);
+  }
+  if (restore) cut_log(restore->thread, restore, inputs);
+  std::sort(inputs.begin(), inputs.end(),
+            [](const LoggedInput& a, const LoggedInput& b) {
+              return a.seq < b.seq;
+            });
+  for (auto it = inputs.rbegin(); it != inputs.rend(); ++it) {
+    queue_pending(it->env, /*front=*/true);
+  }
+  stats_.messages_redelivered += inputs.size();
+
+  if (!doomed.empty()) ++incarnation_;
+  if (restore) {
+    restore_thread(*restore);
+    if (target) {
+      auto tgt = threads_.find(restore->thread);
+      const sim::Time retained =
+          tgt == threads_.end() ? 0 : tgt->second.compute_ns;
+      if (target->compute_ns > retained) {
+        record_work_discarded(*target, target->compute_ns - retained,
+                              rollback_cause_);
+      }
+    }
+  }
+  if (root.valid()) distribute_control(ControlKind::kAbort, root, {});
+
+  // Cascade aborts for our own guesses that died with the killed threads.
+  std::uint64_t cascaded = 0;
+  for (const auto& c : died) {
+    if (history_.status(c) != GuessStatus::kUnknown) continue;
+    history_.set_status(c, GuessStatus::kAborted);
+    history_.observe_incarnation(id_, c.incarnation + 1, c.index);
+    ++cascaded;
+    record_abort(c, obs::AbortReason::kCascade,
+                 restore ? "killed-by-rollback" : "killed-with-thread",
+                 rollback_cause_);
+    distribute_control(ControlKind::kAbort, c, {});
+  }
+  obs::abort_cascade_depth_hist(live_metrics_)
+      .add(static_cast<double>(cascaded));
+  return inputs.size();
+}
+
+void SpeculativeProcess::cut_log(std::uint32_t thread,
+                                 const std::optional<StateIndex>& after,
+                                 std::vector<LoggedInput>& inputs) {
+  auto log = logs_.find(thread);
+  if (log == logs_.end()) return;
+  RollbackLog& l = log->second;
+  auto from = [&](auto& keyed) {
+    return after ? keyed.upper_bound(*after) : keyed.begin();
+  };
+  for (auto it = from(l.inputs); it != l.inputs.end();
+       it = l.inputs.erase(it)) {
+    ++bookkeeping_visits_;
+    inputs.push_back(std::move(it->second));
+  }
+  l.checkpoints.erase(from(l.checkpoints), l.checkpoints.end());
+  l.replay_meta.erase(from(l.replay_meta), l.replay_meta.end());
+  if (l.checkpoints.empty() && l.replay_meta.empty() && l.inputs.empty()) {
+    logs_.erase(log);
+  }
+}
+
+ThreadCtx SpeculativeProcess::rebuild_by_replay(const RollbackLog& log,
                                                 const StateIndex& target) {
   ++stats_.replays;
-  ThreadCtx t = checkpoints_.at(base);
+  const auto& [base, snapshot] = *log.checkpoints.rbegin();
+  ThreadCtx t = snapshot;
   stats_.rollback_restore_bytes += restore_cost_bytes(t.machine);
   if (config_.state == StateStrategy::kDeepCopy) {
     t.machine.deep_copy_state();
   }
-  auto meta_it = replay_meta_.find(target);
-  OCSP_CHECK_MSG(meta_it != replay_meta_.end(),
+  auto meta_it = log.replay_meta.find(target);
+  OCSP_CHECK_MSG(meta_it != log.replay_meta.end(),
                  ("missing replay metadata at " + target.to_string() +
                   " base " + base.to_string() + " in " + name_)
                      .c_str());
   const ReplayMeta meta = meta_it->second;
 
   replaying_ = true;
-  // One thread's inputs are keyed in the order it accepted them.
-  for (auto it = input_log_.upper_bound(base);
-       it != input_log_.end() && !(target < it->first); ++it) {
+  for (auto it = log.inputs.upper_bound(base);
+       it != log.inputs.end() && !(target < it->first); ++it) {
     ++bookkeeping_visits_;
     const LoggedInput& entry = it->second;
-    if (entry.at.thread != target.thread) continue;
     // A periodic (mid-wait) checkpoint base starts out already blocked at
     // the receive/reply the first logged entry answers.
     if (t.machine.state() == csp::MachineState::kReady) {
@@ -572,8 +538,7 @@ void SpeculativeProcess::replay_feed(ThreadCtx& t, const LoggedInput& entry) {
 
   // Reproduce the original acceptance bookkeeping verbatim: the rebuilt
   // state must carry the *original* state indexes (incarnations included),
-  // because rollback entries, replay metadata, and the input log are all
-  // keyed by them.
+  // because rollback entries and rollback logs are keyed by them.
   for (const auto& g : msg->guard.minus(t.guard)) {
     // Keep aborted guesses too: the original state at this point carried
     // them, and the abort-processing loop uses their presence to decide to
@@ -613,33 +578,24 @@ void SpeculativeProcess::replay_feed(ThreadCtx& t, const LoggedInput& entry) {
 }
 
 void SpeculativeProcess::restore_thread(const StateIndex& target) {
+  // The log was cut after the target: its latest checkpoint is the one at
+  // the target, or else (replay strategy) the replay base, the thread's
+  // creation or a post-fork snapshot.
+  auto log = logs_.find(target.thread);
+  OCSP_CHECK_MSG(log != logs_.end() && !log->second.checkpoints.empty(),
+                 "missing rollback checkpoint");
   ThreadCtx restored;
-  auto cp = checkpoints_.find(target);
-  if (cp != checkpoints_.end()) {
-    restored = cp->second;  // copy: the checkpoint stays usable
+  const auto& [latest, snapshot] = *log->second.checkpoints.rbegin();
+  if (latest == target) {
+    restored = snapshot;  // copy: the checkpoint stays usable
     stats_.rollback_restore_bytes += restore_cost_bytes(restored.machine);
     if (config_.state == StateStrategy::kDeepCopy) {
       restored.machine.deep_copy_state();
     }
   } else {
-    // Replay strategy: no per-interval checkpoint exists.  Find the latest
-    // full checkpoint of this thread at or before the target (its creation
-    // or a post-fork snapshot) and replay the logged inputs on top of it.
     OCSP_CHECK_MSG(config_.rollback == RollbackStrategy::kReplayFromLog,
                    "missing rollback checkpoint");
-    StateIndex base{};
-    bool found = false;
-    for (auto it = checkpoints_.upper_bound(target);
-         it != checkpoints_.begin();) {
-      --it;
-      if (it->first.thread == target.thread) {
-        base = it->first;
-        found = true;
-        break;
-      }
-    }
-    OCSP_CHECK_MSG(found, "no replay base checkpoint");
-    restored = rebuild_by_replay(base, target);
+    restored = rebuild_by_replay(log->second, target);
   }
   const std::uint32_t idx = restored.index;
 
@@ -867,15 +823,15 @@ void SpeculativeProcess::gc_resolved_state() {
 
 void SpeculativeProcess::sweep_resolved_state(const RollbackSummary& summary,
                                               bool filtered) {
-  // What is prunable: all state of a thread that is dead (terminated or
-  // gone) and targeted by no unresolved rollback entry, since it can never
-  // be resurrected; and, per thread, everything keyed before its latest
+  // What is prunable: the whole log of a thread that is dead (terminated
+  // or gone) and targeted by no unresolved rollback entry, since it can
+  // never be resurrected; and, per log, everything keyed before its latest
   // checkpoint at or before the low-water mark (the latest overall when
   // nothing is in doubt), since the replay strategy rebuilds from the
   // latest full checkpoint at or before a rollback target.  The previous
   // sweep left nothing prunable, so only threads that have since died or
-  // lost their last target, and checkpoints that have since come to lie
-  // at or below the mark, can make more state prunable.
+  // lost their last target, taken a checkpoint, or had the mark rise past
+  // their keys can have more.
   auto targeted = [&](std::uint32_t thread) {
     return filtered ? std::binary_search(summary.targets.begin(),
                                          summary.targets.end(), thread)
@@ -887,70 +843,53 @@ void SpeculativeProcess::sweep_resolved_state(const RollbackSummary& summary,
     const bool dead = t == threads_.end() ||
                       t->second.phase == ThreadCtx::Phase::kTerminated;
     if (!dead || targeted(thread)) continue;
-    auto floor = state_floor_.find(thread);
-    if (floor == state_floor_.end()) continue;
-    prune_thread_state(thread, floor->second,
-                       StateIndex{incarnation_ + 1, thread, 0});
-    state_floor_.erase(floor);
+    auto log = logs_.find(thread);
+    if (log == logs_.end()) continue;
+    prune_log(log->second, StateIndex{~0u, ~0u, ~0u});
+    logs_.erase(log);
   }
   dirty_threads_.clear();
 
   const bool any = summary.any_unresolved;
   const StateIndex& low = summary.low;
-  std::vector<StateIndex> keeps;  // checkpoints newly at or below the mark
-  if (swept_any_ && (!any || swept_low_ < low)) {
-    for (auto it = checkpoints_.upper_bound(swept_low_);
-         it != checkpoints_.end() && (!any || !(low < it->first)); ++it) {
-      ++bookkeeping_visits_;
-      keeps.push_back(it->first);
-    }
-  }
-  for (const StateIndex& key : new_checkpoints_) {
+  auto prune_to_mark = [&](RollbackLog& log) {
     ++bookkeeping_visits_;
-    if ((!any || !(low < key)) && checkpoints_.count(key) > 0) {
-      keeps.push_back(key);
+    const auto& checkpoints = log.checkpoints;
+    auto above = any ? checkpoints.upper_bound(low) : checkpoints.end();
+    if (above != checkpoints.begin()) prune_log(log, std::prev(above)->first);
+  };
+  if (swept_any_ && (!any || swept_low_ < low)) {
+    // Within one incarnation, the keys the mark rose past, those in
+    // (swept_low_, low], belong to the threads between the marks' threads.
+    auto first = logs_.begin();
+    auto last = logs_.end();
+    if (any && swept_low_.incarnation == low.incarnation) {
+      first = logs_.lower_bound(swept_low_.thread);
+      last = logs_.upper_bound(low.thread);
+    }
+    for (auto it = first; it != last; ++it) prune_to_mark(it->second);
+  }
+  for (std::uint32_t thread : checkpointed_) {
+    if (auto log = logs_.find(thread); log != logs_.end()) {
+      prune_to_mark(log->second);
     }
   }
-  new_checkpoints_.clear();
+  checkpointed_.clear();
   swept_any_ = any;
   swept_low_ = low;
-  // A thread's latest such checkpoint is its new pruning bound: sort by
-  // thread, latest first, and take the first of each thread.
-  std::sort(keeps.begin(), keeps.end(),
-            [](const StateIndex& a, const StateIndex& b) {
-              return std::tie(a.thread, a) > std::tie(b.thread, b);
-            });
-  for (std::size_t i = 0; i < keeps.size(); ++i) {
-    if (i > 0 && keeps[i].thread == keeps[i - 1].thread) continue;
-    auto floor = state_floor_.find(keeps[i].thread);
-    if (floor == state_floor_.end() || !(floor->second < keeps[i])) continue;
-    prune_thread_state(keeps[i].thread, floor->second, keeps[i]);
-    floor->second = keeps[i];
-  }
 }
 
-void SpeculativeProcess::prune_thread_state(std::uint32_t thread,
-                                            const StateIndex& from,
-                                            const StateIndex& to) {
-  // A thread's keys interleave with other threads' across incarnations:
-  // visit its range in each incarnation from `from` to `to`.
+void SpeculativeProcess::prune_log(RollbackLog& log, const StateIndex& keep) {
   auto prune = [&](auto& keyed, std::uint64_t* pruned) {
-    for (std::uint32_t inc = from.incarnation; inc <= to.incarnation; ++inc) {
-      const StateIndex lo =
-          inc == from.incarnation ? from : StateIndex{inc, thread, 0};
-      const StateIndex hi =
-          inc == to.incarnation ? to : StateIndex{inc, thread + 1, 0};
-      for (auto it = keyed.lower_bound(lo);
-           it != keyed.end() && it->first < hi;) {
-        ++bookkeeping_visits_;
-        it = keyed.erase(it);
-        if (pruned != nullptr) ++*pruned;
-      }
+    for (auto it = keyed.begin(); it != keyed.end() && it->first < keep;) {
+      ++bookkeeping_visits_;
+      it = keyed.erase(it);
+      if (pruned != nullptr) ++*pruned;
     }
   };
-  prune(checkpoints_, &stats_.checkpoints_pruned);
-  prune(replay_meta_, nullptr);
-  prune(input_log_, &stats_.log_entries_pruned);
+  prune(log.checkpoints, &stats_.checkpoints_pruned);
+  prune(log.replay_meta, nullptr);
+  prune(log.inputs, &stats_.log_entries_pruned);
 }
 
 SpeculativeProcess::RollbackSummary SpeculativeProcess::rollback_summary()

@@ -273,6 +273,8 @@ TEST(Gc, RelayCdgEdgesPerPrecedenceFlatInCallCount) {
 struct SteppedRun {
   std::size_t in_doubt = 0;  ///< (step, process) checks with a dependency
   std::uint64_t rollbacks = 0;
+  std::uint64_t redelivered = 0;
+  bool completed = false;
 };
 
 /// Run `scenario` one scheduler step at a time and, after every step,
@@ -301,6 +303,8 @@ SteppedRun expect_index_matches_walk(const baseline::Scenario& scenario,
     }
   }
   out.rollbacks = rt->total_stats().rollbacks;
+  out.redelivered = rt->total_stats().messages_redelivered;
+  out.completed = rt->all_clients_completed();
   return out;
 }
 
@@ -363,6 +367,27 @@ TEST(Gc, RollbackIndexMatchesWalkOnTargetedRelays) {
                 sim::seconds(60))
                 .in_doubt,
             0u);
+}
+
+TEST(Gc, RollbackIndexMatchesWalkOnReorderedRelays) {
+  // The smallest reorder stall the discard path fixed: relay threads killed
+  // because their own guess aborted requeue the inputs they had consumed.
+  for (auto strategy : {spec::RollbackStrategy::kCheckpointEveryInterval,
+                        spec::RollbackStrategy::kReplayFromLog}) {
+    core::PipelineParams p;
+    p.calls = 8;
+    p.chain_depth = 2;
+    p.stream_relays = true;
+    p.net.jitter = sim::microseconds(50);
+    p.net.fifo = false;
+    p.spec.rollback = strategy;
+    const SteppedRun run = expect_index_matches_walk(
+        core::pipeline_scenario(p), sim::seconds(20));
+    EXPECT_GT(run.in_doubt, 0u);
+    EXPECT_GT(run.rollbacks, 0u);
+    EXPECT_GT(run.redelivered, 0u);
+    EXPECT_TRUE(run.completed);  // it stalled while the kills dropped them
+  }
 }
 
 }  // namespace

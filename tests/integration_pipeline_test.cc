@@ -3,6 +3,10 @@
 // shared-server workload (independent clients, partial order).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "core/workloads.h"
 
 namespace ocsp {
@@ -131,6 +135,80 @@ TEST(PipelineIntegration, LatePrecedenceDoesNotReviveAbortedGuess) {
   core::PipelineParams p = reordered();
   p.stream_relays = true;
   expect_pessimistic_trace(p, "stream_relays");
+}
+
+// Reordering on non-FIFO links loses no message: the streamed relay
+// pipeline at chain depth 2 and 3, 8 to 48 calls and 50 or 300 us of
+// jitter, under both rollback strategies and both control planes, drains
+// with every client done and the pessimistic run's committed trace.  A
+// thread killed because its own guess aborted used to drop the messages it
+// had consumed; the discard path now requeues them.
+TEST(PipelineIntegration, ReorderSweepCompletes) {
+  using spec::ControlPlane;
+  struct Config {
+    ControlPlane plane;
+    int depth;
+    int calls;
+    int jitter_us;
+    bool operator==(const Config&) const = default;
+  };
+  // These still stall under both strategies: a message vanishes on a path
+  // the requeue does not cover (ROADMAP item 1).
+  const std::vector<Config> still_stalling = {
+      {ControlPlane::kBroadcast, 3, 32, 50},
+      {ControlPlane::kBroadcast, 3, 48, 50},
+      {ControlPlane::kBroadcast, 3, 48, 300},
+      {ControlPlane::kTargeted, 2, 16, 50},
+      {ControlPlane::kTargeted, 3, 8, 50},
+  };
+  int checked = 0;
+  for (auto strategy : {spec::RollbackStrategy::kCheckpointEveryInterval,
+                        spec::RollbackStrategy::kReplayFromLog}) {
+    for (auto plane : {ControlPlane::kBroadcast, ControlPlane::kTargeted}) {
+      for (int depth : {2, 3}) {
+        for (int calls : {8, 16, 32, 48}) {
+          for (int jitter_us : {50, 300}) {
+            const Config config{plane, depth, calls, jitter_us};
+            if (std::find(still_stalling.begin(), still_stalling.end(),
+                          config) != still_stalling.end()) {
+              continue;
+            }
+            core::PipelineParams p;
+            p.calls = calls;
+            p.chain_depth = depth;
+            p.stream_relays = true;
+            p.net.jitter = sim::microseconds(jitter_us);
+            p.net.fifo = false;
+            p.spec.rollback = strategy;
+            p.spec.control = plane;
+            const std::string label =
+                std::string(strategy == spec::RollbackStrategy::kReplayFromLog
+                                ? "replay"
+                                : "checkpoint") +
+                (plane == ControlPlane::kTargeted ? "/targeted"
+                                                  : "/broadcast") +
+                " depth " + std::to_string(depth) + " calls " +
+                std::to_string(calls) + " jitter " + std::to_string(jitter_us);
+            const auto scenario = core::pipeline_scenario(p);
+            const sim::Time deadline = sim::seconds(20);
+            auto pess = baseline::run_scenario(scenario, false, deadline);
+            auto opt = baseline::run_scenario(scenario, true, deadline);
+            ++checked;
+            ASSERT_TRUE(pess.all_completed) << label;
+            EXPECT_FALSE(opt.stalled) << label << " " << opt.stats.to_string();
+            if (!opt.all_completed) {
+              ADD_FAILURE() << label << " did not complete";
+              continue;
+            }
+            std::string why;
+            EXPECT_TRUE(trace::compare_traces(pess.trace, opt.trace, &why))
+                << label << ": " << why;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 54);
 }
 
 TEST(SharedServerIntegration, TwoClientsCompleteAndMatchTraces) {

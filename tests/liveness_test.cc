@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/workloads.h"
+#include "exec/parallel.h"
 #include "speculation/messages.h"
 #include "transform/transform.h"
 
@@ -211,6 +212,35 @@ TEST(Liveness, SpeculationDisabledNeverForksSpeculatively) {
   EXPECT_EQ(result.stats.checkpoints, 0u + result.stats.checkpoints);
   EXPECT_EQ(result.stats.commits, 0u);
   EXPECT_EQ(result.stats.control_sent, 0u);
+}
+
+// A run whose event queue drains with a client still waiting says so: the
+// server takes the call and never replies.  A run cut off by its deadline
+// with work pending is not stalled.
+TEST(Liveness, DrainedRunWithWaitingClientReportsStalled) {
+  baseline::Scenario scenario;
+  scenario.options.default_link.latency =
+      net::fixed_latency(sim::microseconds(100));
+  scenario.add("X", csp::seq({csp::call("S", "Ping", {lit(Value(1))}, "r"),
+                              csp::print(var("r"))}));
+  scenario.add("S", csp::while_(lit(Value(true)), csp::receive()));
+  for (bool speculation : {true, false}) {
+    const auto sequential = baseline::run_scenario(scenario, speculation);
+    EXPECT_FALSE(sequential.all_completed) << speculation;
+    EXPECT_TRUE(sequential.stalled) << speculation;
+    const auto sharded =
+        exec::run_scenario_parallel(scenario, /*workers=*/2, speculation);
+    EXPECT_FALSE(sharded.result.all_completed) << speculation;
+    EXPECT_TRUE(sharded.result.stalled) << speculation;
+  }
+  // Stopped before the call lands: unfinished, not stalled.
+  const auto cut =
+      baseline::run_scenario(scenario, true, sim::microseconds(50));
+  EXPECT_FALSE(cut.all_completed);
+  EXPECT_FALSE(cut.stalled);
+  const auto sharded_cut = exec::run_scenario_parallel(
+      scenario, /*workers=*/2, true, 0.0, sim::microseconds(50));
+  EXPECT_FALSE(sharded_cut.result.stalled);
 }
 
 }  // namespace

@@ -142,6 +142,10 @@ TEST_P(RandomProgramProperty, OptimisticTraceEqualsPessimistic) {
   auto pessimistic =
       baseline::run_scenario(scenario, false, sim::seconds(60));
   auto optimistic = baseline::run_scenario(scenario, true, sim::seconds(60));
+  // Liveness: no run drains with the client still waiting.
+  ASSERT_FALSE(pessimistic.stalled) << "seed " << seed;
+  ASSERT_FALSE(optimistic.stalled)
+      << "seed " << seed << " " << optimistic.stats.to_string();
   ASSERT_TRUE(pessimistic.all_completed) << "seed " << seed;
   ASSERT_TRUE(optimistic.all_completed)
       << "seed " << seed << " " << optimistic.stats.to_string();
