@@ -149,7 +149,9 @@ void report() {
     const std::uint64_t par_plans = smoke_mode() ? 6 : 12;
     std::vector<std::string> headers = {"seed", "category", "faults",
                                         "retransmits"};
-    for (int w : widths) headers.push_back("w" + std::to_string(w) + "_ms");
+    for (int w : widths) {
+      headers.push_back(std::string("w") + std::to_string(w) + "_ms");
+    }
     util::Table par_sweep(headers);
     std::uint64_t par_divergences = 0;
     for (std::uint64_t seed = 0; seed < par_plans; ++seed) {

@@ -23,6 +23,17 @@ using csp::Value;
 using csp::var;
 using csp::while_;
 
+namespace {
+
+/// `prefix` followed by `i`: process, fork-site and variable names.
+std::string numbered(const char* prefix, int i) {
+  std::string name = prefix;
+  name += std::to_string(i);
+  return name;
+}
+
+}  // namespace
+
 net::LinkConfig make_link(const NetworkParams& params) {
   net::LinkConfig link;
   if (params.jitter > 0) {
@@ -189,7 +200,7 @@ baseline::Scenario pipeline_scenario(const PipelineParams& params) {
   for (int k = 0; k + 1 < params.chain_depth; ++k) {
     std::map<std::string, csp::StmtPtr> handlers;
     handlers["Fwd"] = seq({
-        call("relay" + std::to_string(k + 1), "Fwd", {arg(0)}, "fwd"),
+        call(numbered("relay", k + 1), "Fwd", {arg(0)}, "fwd"),
         reply(var("fwd")),
     });
     csp::StmtPtr relay =
@@ -205,7 +216,7 @@ baseline::Scenario pipeline_scenario(const PipelineParams& params) {
       relay_opts.timeout = params.spec.fork_timeout;
       relay = transform::stream_calls(relay, relay_opts).program;
     }
-    scenario.add("relay" + std::to_string(k), std::move(relay));
+    scenario.add(numbered("relay", k), std::move(relay));
   }
   // Final stage echoes its argument.
   std::map<std::string, csp::NativeHandler> final_handlers;
@@ -213,7 +224,7 @@ baseline::Scenario pipeline_scenario(const PipelineParams& params) {
                              util::Rng&) { return args[0]; };
   csp::ServiceConfig sc;
   sc.service_time = params.service_time;
-  scenario.add("relay" + std::to_string(params.chain_depth - 1),
+  scenario.add(numbered("relay", params.chain_depth - 1),
                csp::native_service(std::move(final_handlers), sc));
   return scenario;
 }
@@ -423,7 +434,7 @@ baseline::Scenario shared_server_scenario(const SharedServerParams& params) {
       opts.timeout = params.spec.fork_timeout;
       client = transform::stream_calls(client, opts).program;
     }
-    const std::string name = "C" + std::to_string(c);
+    const std::string name = numbered("C", c);
     scenario.add(name, std::move(client));
     if (params.client_skew > 0 && c > 0) {
       net::LinkConfig skewed = make_link(params.net);
@@ -440,7 +451,7 @@ baseline::Scenario shared_server_scenario(const SharedServerParams& params) {
 // Statically-safe fan-out
 // ---------------------------------------------------------------------------
 
-std::string safe_fanout_server(int i) { return "F" + std::to_string(i); }
+std::string safe_fanout_server(int i) { return numbered("F", i); }
 
 baseline::Scenario safe_fanout_scenario(const SafeFanoutParams& params) {
   OCSP_CHECK(params.servers >= 1);
@@ -452,9 +463,9 @@ baseline::Scenario safe_fanout_scenario(const SafeFanoutParams& params) {
   std::vector<csp::StmtPtr> body;
   for (int i = 0; i < params.servers; ++i) {
     body.push_back(call(safe_fanout_server(i), "Work", {lit(Value(i))},
-                        "r" + std::to_string(i)));
+                        numbered("r", i)));
     if (i + 1 < params.servers) {
-      body.push_back(hint({}, "fan" + std::to_string(i), /*span=*/1,
+      body.push_back(hint({}, numbered("fan", i), /*span=*/1,
                           params.spec.fork_timeout));
     }
   }
@@ -490,7 +501,7 @@ baseline::Scenario safe_fanout_scenario(const SafeFanoutParams& params) {
 // Commutative registry
 // ---------------------------------------------------------------------------
 
-std::string commute_registry_client(int i) { return "C" + std::to_string(i); }
+std::string commute_registry_client(int i) { return numbered("C", i); }
 
 // ---------------------------------------------------------------------------
 // Abort storm (adaptive-governor showcase)
@@ -548,8 +559,8 @@ baseline::Scenario abort_storm_scenario(const AbortStormParams& params) {
 // Compute-bound fan-out (parallel-executor speedup workload)
 // ---------------------------------------------------------------------------
 
-std::string compute_fanout_client(int i) { return "W" + std::to_string(i); }
-std::string compute_fanout_server(int i) { return "S" + std::to_string(i); }
+std::string compute_fanout_client(int i) { return numbered("W", i); }
+std::string compute_fanout_server(int i) { return numbered("S", i); }
 
 baseline::Scenario compute_fanout_scenario(const ComputeFanoutParams& params) {
   OCSP_CHECK(params.pairs >= 1);

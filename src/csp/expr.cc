@@ -102,7 +102,14 @@ std::string BinaryExpr::to_string() const {
     case BinaryOp::kAnd: op = "&&"; break;
     case BinaryOp::kOr: op = "||"; break;
   }
-  return "(" + lhs_->to_string() + " " + op + " " + rhs_->to_string() + ")";
+  std::string out = "(";
+  out += lhs_->to_string();
+  out += ' ';
+  out += op;
+  out += ' ';
+  out += rhs_->to_string();
+  out += ')';
+  return out;
 }
 
 IndexExpr::IndexExpr(ExprPtr list, ExprPtr index)

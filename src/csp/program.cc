@@ -189,8 +189,9 @@ void render(const StmtPtr& stmt, int depth, std::ostringstream& out) {
     case StmtKind::kCall: {
       const auto& s = static_cast<const CallStmt&>(*stmt);
       out << pad << s.result_var << " = call "
-          << (s.target_expr ? "[" + s.target_expr->to_string() + "]"
-                            : s.target)
+          << (s.target_expr
+                  ? std::string("[") + s.target_expr->to_string() + "]"
+                  : s.target)
           << "." << s.op << "(";
       for (std::size_t i = 0; i < s.args.size(); ++i) {
         if (i) out << ", ";
@@ -202,8 +203,9 @@ void render(const StmtPtr& stmt, int depth, std::ostringstream& out) {
     case StmtKind::kSend: {
       const auto& s = static_cast<const SendStmt&>(*stmt);
       out << pad << "send "
-          << (s.target_expr ? "[" + s.target_expr->to_string() + "]"
-                            : s.target)
+          << (s.target_expr
+                  ? std::string("[") + s.target_expr->to_string() + "]"
+                  : s.target)
           << "." << s.op << "(";
       for (std::size_t i = 0; i < s.args.size(); ++i) {
         if (i) out << ", ";

@@ -1,5 +1,6 @@
 #include "csp/service.h"
 
+#include <memory>
 #include <utility>
 
 #include "util/check.h"
@@ -10,12 +11,12 @@ StmtPtr native_service(std::map<std::string, NativeHandler> handlers,
                        ServiceConfig config) {
   auto table = std::make_shared<std::map<std::string, NativeHandler>>(
       std::move(handlers));
-  const Value unknown = config.unknown_op_reply;
+  auto unknown = std::make_shared<const Value>(config.unknown_op_reply);
   auto dispatch = [table, unknown](Env& env, util::Rng& rng) {
     const std::string& op = env.get("__op").as_string();
     auto it = table->find(op);
     if (it == table->end()) {
-      env.set("__reply", unknown);
+      env.set("__reply", *unknown);
       return;
     }
     const ValueList args = env.get("__args").as_list();

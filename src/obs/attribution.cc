@@ -8,6 +8,7 @@
 #include <string_view>
 #include <utility>
 
+#include "obs/profile.h"
 #include "util/table.h"
 
 namespace ocsp::obs {
@@ -59,9 +60,7 @@ AttributionReport build_attribution(
     auto [it, inserted] = sites.try_emplace(key);
     if (inserted) {
       it->second.process = p;
-      it->second.name = static_cast<std::size_t>(p) < process_names.size()
-                            ? process_names[p]
-                            : "P" + std::to_string(p);
+      it->second.name = process_label(process_names, p);
       it->second.site = key.site;
     }
     return it->second;

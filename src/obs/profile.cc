@@ -201,6 +201,16 @@ struct SendSnapshot {
 
 }  // namespace
 
+std::string process_label(const std::vector<std::string>& process_names,
+                          ProcessId id) {
+  if (static_cast<std::size_t>(id) < process_names.size()) {
+    return process_names[id];
+  }
+  std::string label = "P";
+  label += std::to_string(id);
+  return label;
+}
+
 RunProfile build_profile(const RunRecorder& recorder,
                          const std::vector<std::string>& process_names) {
   RunProfile out;
@@ -286,9 +296,7 @@ RunProfile build_profile(const RunRecorder& recorder,
 
     ProcessTimeProfile pp;
     pp.process = id;
-    pp.name = static_cast<std::size_t>(id) < process_names.size()
-                  ? process_names[id]
-                  : "P" + std::to_string(id);
+    pp.name = process_label(process_names, id);
     pp.span_ns = p.last - p.first;
     pp.breakdown = p.breakdown;
     out.total_process_ns += pp.span_ns;

@@ -104,6 +104,10 @@ struct RunProfile {
   std::int64_t unmatched_wasted_ns = 0;
 };
 
+/// `process_names[id]`, or "P<id>" for a process the list does not name.
+std::string process_label(const std::vector<std::string>& process_names,
+                          ProcessId id);
+
 /// Post-process a recorded run.  `process_names` maps ProcessId to a
 /// display name (ids beyond the vector render as "P<id>").
 RunProfile build_profile(const RunRecorder& recorder,

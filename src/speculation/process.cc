@@ -567,14 +567,6 @@ SpeculativeProcess::RollbackLog& SpeculativeProcess::log_for(
 ThreadCtx& SpeculativeProcess::insert_thread(ThreadCtx t) {
   OCSP_CHECK_MSG(threads_.count(t.index) == 0,
                  "thread index reuse without kill");
-  for (const auto& [g, at] : t.rollbacks) {
-    ++bookkeeping_visits_;
-    rollback_index_.add(t.index, g, at);
-    // A restored checkpoint can carry a guess resolved since it was taken.
-    if (history_.status(g) != GuessStatus::kUnknown) {
-      index_took_resolved_ = true;
-    }
-  }
   const std::uint32_t index = t.index;
   ThreadCtx& th = threads_.emplace(index, std::move(t)).first->second;
   if (auto* set = phase_set(th.phase)) set->insert(index);
@@ -586,7 +578,6 @@ ThreadCtx& SpeculativeProcess::insert_thread(ThreadCtx t) {
 std::map<std::uint32_t, ThreadCtx>::node_type SpeculativeProcess::erase_thread(
     std::map<std::uint32_t, ThreadCtx>::iterator it) {
   const ThreadCtx& t = it->second;
-  for (const auto& [g, at] : t.rollbacks) unindex_rollback(t.index, g, at);
   if (auto* set = phase_set(t.phase)) set->erase(t.index);
   if (t.phase != ThreadCtx::Phase::kTerminated) --live_threads_;
   unsettled_.erase(t.index);
@@ -650,35 +641,17 @@ void SpeculativeProcess::retire_settled_threads() {
     retired_created_max_ = std::max(retired_created_max_,
                                     it->second.created_at);
     compute_timers_.erase(it->first);
+    drop_rollbacks(it->first);
     erase_thread(it++);
   }
 }
 
-void SpeculativeProcess::set_rollback(ThreadCtx& t, const GuessId& g,
-                                      const StateIndex& at) {
-  ++bookkeeping_visits_;
-  auto [it, inserted] = t.rollbacks.try_emplace(g, at);
-  if (!inserted) {
-    if (it->second == at) return;
-    unindex_rollback(t.index, g, it->second);
-    it->second = at;
-  }
-  rollback_index_.add(t.index, g, at);
-}
-
-void SpeculativeProcess::erase_rollback(ThreadCtx& t, const GuessId& g) {
-  auto it = t.rollbacks.find(g);
-  if (it == t.rollbacks.end()) return;
-  unindex_rollback(t.index, g, it->second);
-  t.rollbacks.erase(it);
-}
-
-void SpeculativeProcess::unindex_rollback(std::uint32_t thread,
-                                          const GuessId& g,
-                                          const StateIndex& at) {
-  ++bookkeeping_visits_;
+void SpeculativeProcess::drop_rollbacks(
+    std::uint32_t thread, const std::optional<StateIndex>& restore) {
   // A thread no entry targets any more may hold state the GC can prune.
-  if (rollback_index_.remove(thread, g, at)) dirty_threads_.insert(at.thread);
+  bookkeeping_visits_ +=
+      restore ? rollback_index_.drop_from(thread, *restore, dirty_threads_)
+              : rollback_index_.drop_all(thread, dirty_threads_);
 }
 
 }  // namespace ocsp::spec

@@ -84,9 +84,10 @@ class EventLog {
 };
 
 /// One logical thread of a process.  Copyable: a checkpoint is a copy of
-/// the whole ThreadCtx (machine, guard, rollback map, event log).  The
-/// commit dependency graph belongs to the process (PRECEDENCE edges relate
-/// guesses, not threads), so forks and checkpoints copy none.
+/// the whole ThreadCtx (machine, guard, event log).  The thread's rollback
+/// entries and the commit dependency graph belong to the process (the
+/// rollback-point index and PRECEDENCE edges relate guesses, not thread
+/// states), so forks and checkpoints copy neither.
 struct ThreadCtx {
   enum class Phase {
     kRunning,       ///< machine is ready; a step is (or will be) scheduled
@@ -104,7 +105,6 @@ struct ThreadCtx {
   csp::Machine machine;
 
   GuardSet guard;
-  std::map<GuessId, StateIndex> rollbacks;
 
   /// Guess guarding this thread's start (right threads only).
   bool has_own_guess = false;
@@ -222,7 +222,7 @@ class SpeculativeProcess {
 
   // ---- unresolved dependencies ------------------------------------------
 
-  /// The unresolved part of every live thread's rollback map: whether any
+  /// The unresolved rollback entries of the tabled threads: whether any
   /// dependency is still in doubt, the earliest state a rollback of one can
   /// restore (the GC low-water mark), and the threads such rollbacks target.
   struct RollbackSummary {
@@ -235,11 +235,13 @@ class SpeculativeProcess {
     std::string to_string() const;
   };
 
-  /// Read off the rollback-point index (what GC uses).
+  /// Read off the rollback-point index, unfiltered (what GC uses).
   RollbackSummary rollback_summary() const;
-  /// Recomputed by walking every thread's rollback map: the reference the
-  /// index is tested against.
+  /// Recomputed by walking every tabled thread's entries and skipping
+  /// resolved guesses: the reference the index is tested against.
   RollbackSummary rollback_summary_by_walk() const;
+  /// The rollback-point index itself: every thread's entries.
+  const RollbackIndex& rollback_index() const { return rollback_index_; }
 
   /// Per-guess bookkeeping sizes (bounded-state tests): (guess, control
   /// kind) forward marks, commit dependency graph nodes, scheduled-step
@@ -252,8 +254,8 @@ class SpeculativeProcess {
   std::size_t safe_claim_count() const { return safe_claimed_.size(); }
 
   /// Elements the speculation bookkeeping has visited so far: thread-table
-  /// entries its loops walk, rollback entries indexed or scrubbed, index
-  /// entries the GC reads, and rollback-log records (checkpoints, replay
+  /// entries its loops walk, rollback entries indexed, dropped or cut, the
+  /// index entry the GC reads, and rollback-log records (checkpoints, replay
   /// records, logged inputs) the GC sweep, a discard or a replay examines
   /// (growth tests divide it by kernel events).
   std::uint64_t bookkeeping_visits() const { return bookkeeping_visits_; }
@@ -270,8 +272,10 @@ class SpeculativeProcess {
 
   // ---- fork / join (4.2.1, 4.2.5) --------------------------------------
   void do_fork(ThreadCtx& t, const csp::ForkStmt& f);
-  /// Give a forked child the parent's rollback entries it needs.
-  void inherit_rollbacks(const ThreadCtx& parent, ThreadCtx& child);
+  /// Give new thread `child` the parent's rollback entries for the guard
+  /// `members` (the parent's, or those of them still unresolved).
+  void inherit_rollbacks(const ThreadCtx& parent, const GuardSet& members,
+                         std::uint32_t child);
   void do_join(ThreadCtx& left);
   void do_join_inner(ThreadCtx& left);
   void finalize_join_commit(ThreadCtx& left);
@@ -376,7 +380,9 @@ class SpeculativeProcess {
   /// it restores: that thread's log is cut only after the restore point,
   /// and the thread comes back from there before the cascade.  An own-guess
   /// abort passes its guess as `root`, whose ABORT goes out before the
-  /// cascade's.  Returns how many inputs were requeued.
+  /// cascade's.  The dead threads' rollback entries go; the restored
+  /// thread keeps those that predate the restore point.  Returns how many
+  /// inputs were requeued.
   std::size_t discard_threads(const std::vector<std::uint32_t>& doomed,
                               const std::optional<StateIndex>& restore,
                               const GuessId& root, std::vector<GuessId>& died);
@@ -396,9 +402,10 @@ class SpeculativeProcess {
   void replay_feed(ThreadCtx& t, const LoggedInput& entry);
 
   // ---- thread table and rollback-point index ------------------------------
-  /// Add a thread at a free index, indexing its rollback map.
+  /// Add a thread at a free index.
   ThreadCtx& insert_thread(ThreadCtx t);
-  /// Remove a thread from the table and the index, handing it back.
+  /// Remove a thread from the table, handing it back.  Its rollback entries
+  /// stay in the index: the caller drops them (drop_rollbacks).
   std::map<std::uint32_t, ThreadCtx>::node_type erase_thread(
       std::map<std::uint32_t, ThreadCtx>::iterator it);
   void terminate_thread(ThreadCtx& t);
@@ -412,12 +419,11 @@ class SpeculativeProcess {
   /// Erase the settled threads below the lowest unsettled one that no
   /// rollback entry targets: nothing reads them again (DESIGN §9).
   void retire_settled_threads();
-  /// t.rollbacks[g] = at, and the same in the index.
-  void set_rollback(ThreadCtx& t, const GuessId& g, const StateIndex& at);
-  void erase_rollback(ThreadCtx& t, const GuessId& g);
-  /// Drop `thread`'s entry g -> at from the index.
-  void unindex_rollback(std::uint32_t thread, const GuessId& g,
-                        const StateIndex& at);
+  /// Drop `thread`'s rollback entries: all of them when it dies; when a
+  /// rollback restores it to `restore`, those acquired there or later.
+  /// Threads left untargeted become dirty (their state may be prunable).
+  void drop_rollbacks(std::uint32_t thread,
+                      const std::optional<StateIndex>& restore = std::nullopt);
 
   // ---- bookkeeping ---------------------------------------------------------
   StateIndex current_index(const ThreadCtx& t) const;
@@ -429,19 +435,11 @@ class SpeculativeProcess {
   /// what changed since the last one; the per-guess maps of resolved
   /// guesses are dropped on every call.
   void gc_resolved_state();
-  /// The index may hold entries of resolved guesses (one aborted since the
-  /// index was last checked, or one restored from a checkpoint), so its
-  /// first entry and target counts are not yet the summary's.
-  bool index_may_hold_resolved() const;
-  /// rollback_summary() filtered entry by entry; `resolved` tells whether
-  /// any entry was skipped.
-  RollbackSummary filtered_summary(bool& resolved) const;
   /// Prune what became unreachable since the last sweep: the whole log of
   /// each thread that died or lost its last target, if now dead and
   /// untargeted, and each log's records before its latest checkpoint at or
-  /// before the low-water mark.  Targets are `summary.targets` when
-  /// `filtered`, else the index's.
-  void sweep_resolved_state(const RollbackSummary& summary, bool filtered);
+  /// before the low-water mark (the index's first entry).
+  void sweep_resolved_state();
   /// Drop `log`'s records keyed before `keep`.
   void prune_log(RollbackLog& log, const StateIndex& keep);
   void record_event(ThreadCtx& t, trace::ObservableEvent event);
@@ -487,9 +485,11 @@ class SpeculativeProcess {
   util::Rng rng_;
 
   std::map<std::uint32_t, ThreadCtx> threads_;  // ascending thread index
-  /// Every entry of threads_' rollback maps, and which threads hold which
-  /// guesses; kept in step by insert_thread, erase_thread, set_rollback and
-  /// erase_rollback.
+  /// Every tabled thread's rollback entries, and nothing else: entries of
+  /// a thread that leaves the table are dropped with it, a commit removes
+  /// its guess from every holder, and an abort's rollback fixpoint leaves
+  /// no thread holding an aborted guess.  So between steps it holds only
+  /// unresolved guesses.
   RollbackIndex rollback_index_;
   /// Tabled threads by phase (kJoinWait, kAwaitMessage, kDoneWaitGuard),
   /// ascending, so the join, receive and completion checks visit only the
@@ -610,11 +610,6 @@ class SpeculativeProcess {
   StateIndex swept_low_;
   std::set<std::uint32_t> dirty_threads_;
   std::vector<std::uint32_t> checkpointed_;
-  /// index_may_hold_resolved() bookkeeping: the history abort epoch at
-  /// which the index last held only unresolved guesses, and whether an
-  /// entry of a resolved guess was inserted since.
-  std::uint64_t index_checked_epoch_ = 0;
-  bool index_took_resolved_ = false;
   std::uint64_t bookkeeping_visits_ = 0;
 
   /// The aborted guess whose processing is currently driving rollbacks;

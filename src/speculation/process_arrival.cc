@@ -326,7 +326,8 @@ void SpeculativeProcess::accept_message(ThreadCtx& t,
   for (const auto& g : newguards) {
     t.guard.add(g);
     cdg_.add_node(g);
-    set_rollback(t, g, rollback_point);
+    ++bookkeeping_visits_;
+    rollback_index_.add(t.index, g, rollback_point);
     history_.set_status(g, GuessStatus::kUnknown);
   }
   if (!newguards.empty()) {

@@ -5,7 +5,8 @@
 // thread, finds the earliest rollback point, kills every thread created
 // after it and restores the target thread from its checkpoint.  A rollback
 // and an own-guess abort kill through one discard path: it drops the dead
-// threads' rollback logs (the restored thread's after the restore point),
+// threads' rollback logs and rollback entries (the restored thread keeps
+// the log up to the restore point and the entries acquired before it),
 // requeues the input messages they had consumed (Figure 5: "Z must re-read
 // message C2 after rolling back"; the orphan filter drops the tainted
 // ones), and cascades ABORTs for our own guesses that died.  PRECEDENCE
@@ -102,12 +103,13 @@ void SpeculativeProcess::commit_guess_local(const GuessId& g) {
       if (history_.status(p) != GuessStatus::kCommitted) queue.push_back(p);
     }
     cdg_.remove_node(h);
-    // Only threads holding h in their rollback map can carry it in a guard
-    // (a guard member always has a rollback entry).
+    // Only threads holding a rollback entry for h can carry it in a guard
+    // (a guard member always has one).
     for (std::uint32_t idx : rollback_index_.holders(h)) {
       ThreadCtx& t = threads_.at(idx);
       t.guard.erase(h);
-      erase_rollback(t, h);
+      ++bookkeeping_visits_;
+      rollback_index_.remove(idx, h, dirty_threads_);
       if (t.phase == ThreadCtx::Phase::kTerminated) note_settled(t);
       if (t.phase == ThreadCtx::Phase::kJoinWait && t.guard.empty()) {
         join_candidates_.insert(idx);
@@ -158,7 +160,7 @@ void SpeculativeProcess::rollback_aborted_dependencies() {
       // one-guess-per-owner subsumption (4.1.5) may have replaced an
       // earlier aborted guess, but the state became contaminated at the
       // earlier acquisition point.
-      for (const auto& [a, rb] : t.rollbacks) {
+      for (const auto& [a, rb] : rollback_index_.entries(idx)) {
         ++bookkeeping_visits_;
         if (history_.status(a) == GuessStatus::kAborted) {
           abortset.push_back(a);
@@ -175,12 +177,11 @@ void SpeculativeProcess::rollback_aborted_dependencies() {
         }
       }
       for (const auto& a : abortset) {
-        auto rb = t.rollbacks.find(a);
-        OCSP_CHECK_MSG(rb != t.rollbacks.end(),
-                       "guard member without rollback");
-        if (!found || rb->second < target) {
+        const StateIndex* rb = rollback_index_.point(idx, a);
+        OCSP_CHECK_MSG(rb != nullptr, "guard member without rollback");
+        if (!found || *rb < target) {
           found = true;
-          target = rb->second;
+          target = *rb;
         }
       }
     }
@@ -347,6 +348,7 @@ std::size_t SpeculativeProcess::discard_threads(
         external_buffered_at_.erase({t.index, i});
       }
     }
+    drop_rollbacks(t.index, restored ? restore : std::nullopt);
     auto node = erase_thread(it);
     if (restored) target = std::move(node.mapped());
     join_rescan_ = true;  // a join-waiter's right thread may be gone
@@ -538,7 +540,9 @@ void SpeculativeProcess::replay_feed(ThreadCtx& t, const LoggedInput& entry) {
 
   // Reproduce the original acceptance bookkeeping verbatim: the rebuilt
   // state must carry the *original* state indexes (incarnations included),
-  // because rollback entries and rollback logs are keyed by them.
+  // because rollback entries and rollback logs are keyed by them.  The
+  // entries themselves need no rebuilding: the restore kept the ones
+  // acquired before the target, aborted guesses included.
   for (const auto& g : msg->guard.minus(t.guard)) {
     // Keep aborted guesses too: the original state at this point carried
     // them, and the abort-processing loop uses their presence to decide to
@@ -546,7 +550,6 @@ void SpeculativeProcess::replay_feed(ThreadCtx& t, const LoggedInput& entry) {
     // dependencies.
     if (history_.status(g) == GuessStatus::kCommitted) continue;
     t.guard.add(g);
-    t.rollbacks[g] = entry.pre;
   }
   t.interval = entry.at.interval;
 
@@ -605,7 +608,8 @@ void SpeculativeProcess::restore_thread(const StateIndex& target) {
     // has aborted, so the parent's re-execution of S2 supersedes the whole
     // thread — restoring it would resurrect an aborted computation and the
     // abort-processing loop would never converge.  Make sure any guess this
-    // state forked is dead too, then drop it.
+    // state forked is dead too, then drop it and the entries it kept.
+    drop_rollbacks(idx);
     if (restored.has_pending_join && restored.join_guess.valid() &&
         history_.status(restored.join_guess) == GuessStatus::kUnknown) {
       history_.set_status(restored.join_guess, GuessStatus::kAborted);
@@ -621,21 +625,15 @@ void SpeculativeProcess::restore_thread(const StateIndex& target) {
   // The checkpoint predates everything we have since learned: scrub guard
   // members that have committed in the meantime (leaving aborted ones for
   // the abort-processing loop, which must roll back further for those).
+  // The rollback entries need no scrub: the index kept the thread's own,
+  // from which every commit already removed its guess.
   std::vector<GuessId> committed_since;
   for (const auto& g : restored.guard) {
     if (history_.status(g) == GuessStatus::kCommitted) {
       committed_since.push_back(g);
     }
   }
-  for (const auto& g : committed_since) {
-    restored.guard.erase(g);
-    restored.rollbacks.erase(g);
-  }
-  // Entries of guesses subsumed in the guard are inert once committed;
-  // dropping them keeps committed guesses out of the rollback-point index.
-  std::erase_if(restored.rollbacks, [this](const auto& entry) {
-    return history_.status(entry.first) == GuessStatus::kCommitted;
-  });
+  for (const auto& g : committed_since) restored.guard.erase(g);
 
   switch (restored.phase) {
     case ThreadCtx::Phase::kRunning:
@@ -757,40 +755,8 @@ ThreadCtx* SpeculativeProcess::next_ready_join() {
   return nullptr;
 }
 
-bool SpeculativeProcess::index_may_hold_resolved() const {
-  return index_took_resolved_ ||
-         index_checked_epoch_ != history_.abort_epoch();
-}
-
 void SpeculativeProcess::gc_resolved_state() {
-  // Commits scrub their guess from every holder, so the index holds a
-  // resolved guess only after an abort (until the rollback fixpoint drops
-  // its holders) or a restore.  Otherwise its first entry is the
-  // low-water mark and its target counts are exact.
-  RollbackSummary summary;
-  bool filtered = false;
-  if (index_may_hold_resolved()) {
-    bookkeeping_visits_ += rollback_index_.size();
-    summary = filtered_summary(filtered);
-    if (filtered) {
-      // Threads only resolved entries target count as untargeted.
-      for (const auto& [thread, entries] : rollback_index_.target_threads()) {
-        ++bookkeeping_visits_;
-        if (!std::binary_search(summary.targets.begin(),
-                                summary.targets.end(), thread)) {
-          dirty_threads_.insert(thread);
-        }
-      }
-    } else {
-      index_checked_epoch_ = history_.abort_epoch();
-      index_took_resolved_ = false;
-    }
-  } else if (!rollback_index_.empty()) {
-    ++bookkeeping_visits_;
-    summary.any_unresolved = true;
-    summary.low = rollback_index_.begin()->first.first;
-  }
-  sweep_resolved_state(summary, filtered);
+  sweep_resolved_state();
 
   // Commits and explicit aborts remove their own node; guesses aborted
   // implicitly (through an incarnation, or killed with their thread) leave
@@ -821,8 +787,7 @@ void SpeculativeProcess::gc_resolved_state() {
   });
 }
 
-void SpeculativeProcess::sweep_resolved_state(const RollbackSummary& summary,
-                                              bool filtered) {
+void SpeculativeProcess::sweep_resolved_state() {
   // What is prunable: the whole log of a thread that is dead (terminated
   // or gone) and targeted by no unresolved rollback entry, since it can
   // never be resurrected; and, per log, everything keyed before its latest
@@ -832,17 +797,17 @@ void SpeculativeProcess::sweep_resolved_state(const RollbackSummary& summary,
   // sweep left nothing prunable, so only threads that have since died or
   // lost their last target, taken a checkpoint, or had the mark rise past
   // their keys can have more.
-  auto targeted = [&](std::uint32_t thread) {
-    return filtered ? std::binary_search(summary.targets.begin(),
-                                         summary.targets.end(), thread)
-                    : rollback_index_.targets(thread);
-  };
+  //
+  // Between steps the index holds only unresolved guesses, so it is read
+  // unfiltered: its first entry is the mark and its targets are exact.  An
+  // entry of a resolved guess could only lower the mark or add a target,
+  // so it would keep state longer, never prune state a rollback needs.
   for (std::uint32_t thread : dirty_threads_) {
     ++bookkeeping_visits_;
     auto t = threads_.find(thread);
     const bool dead = t == threads_.end() ||
                       t->second.phase == ThreadCtx::Phase::kTerminated;
-    if (!dead || targeted(thread)) continue;
+    if (!dead || rollback_index_.targets(thread)) continue;
     auto log = logs_.find(thread);
     if (log == logs_.end()) continue;
     prune_log(log->second, StateIndex{~0u, ~0u, ~0u});
@@ -850,8 +815,10 @@ void SpeculativeProcess::sweep_resolved_state(const RollbackSummary& summary,
   }
   dirty_threads_.clear();
 
-  const bool any = summary.any_unresolved;
-  const StateIndex& low = summary.low;
+  const bool any = !rollback_index_.empty();
+  if (any) ++bookkeeping_visits_;
+  const StateIndex low =
+      any ? rollback_index_.begin()->first.first : StateIndex{~0u, ~0u, ~0u};
   auto prune_to_mark = [&](RollbackLog& log) {
     ++bookkeeping_visits_;
     const auto& checkpoints = log.checkpoints;
@@ -894,10 +861,6 @@ void SpeculativeProcess::prune_log(RollbackLog& log, const StateIndex& keep) {
 
 SpeculativeProcess::RollbackSummary SpeculativeProcess::rollback_summary()
     const {
-  if (index_may_hold_resolved()) {
-    bool resolved = false;
-    return filtered_summary(resolved);
-  }
   RollbackSummary out;
   if (rollback_index_.empty()) return out;
   out.any_unresolved = true;
@@ -908,33 +871,12 @@ SpeculativeProcess::RollbackSummary SpeculativeProcess::rollback_summary()
   return out;
 }
 
-SpeculativeProcess::RollbackSummary SpeculativeProcess::filtered_summary(
-    bool& resolved) const {
-  RollbackSummary out;
-  for (const auto& [entry, refs] : rollback_index_) {
-    const auto& [at, g] = entry;
-    if (history_.status(g) != GuessStatus::kUnknown) {
-      resolved = true;
-      continue;
-    }
-    if (!out.any_unresolved) {
-      out.any_unresolved = true;
-      out.low = at;  // entries ascend by rollback point
-    }
-    out.targets.push_back(at.thread);
-  }
-  std::sort(out.targets.begin(), out.targets.end());
-  out.targets.erase(std::unique(out.targets.begin(), out.targets.end()),
-                    out.targets.end());
-  return out;
-}
-
 SpeculativeProcess::RollbackSummary
 SpeculativeProcess::rollback_summary_by_walk() const {
   RollbackSummary out;
   std::set<std::uint32_t> targets;
   for (const auto& [idx, t] : threads_) {
-    for (const auto& [g, rb] : t.rollbacks) {
+    for (const auto& [g, rb] : rollback_index_.entries(idx)) {
       if (history_.status(g) == GuessStatus::kUnknown) {
         out.any_unresolved = true;
         if (rb < out.low) out.low = rb;

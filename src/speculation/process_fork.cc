@@ -33,15 +33,16 @@ void SpeculativeProcess::cancel_fork_timer(const GuessId& guess) {
 }
 
 void SpeculativeProcess::inherit_rollbacks(const ThreadCtx& parent,
-                                           ThreadCtx& child) {
-  // Only the parent's guard members: any other entry g -> p of the parent
-  // has p before the child's creation and is held by the thread that made
-  // the acquisition, whose rollback to p kills the child anyway.
-  for (const auto& g : parent.guard) {
+                                           const GuardSet& members,
+                                           std::uint32_t child) {
+  // Only guard members: any other entry g -> p of the parent has p before
+  // the child's creation and is held by the thread that made the
+  // acquisition, whose rollback to p kills the child anyway.
+  for (const auto& g : members) {
     ++bookkeeping_visits_;
-    auto rb = parent.rollbacks.find(g);
-    OCSP_CHECK_MSG(rb != parent.rollbacks.end(), "guard without rollback");
-    child.rollbacks.emplace(g, rb->second);
+    const StateIndex* at = rollback_index_.point(parent.index, g);
+    OCSP_CHECK_MSG(at != nullptr, "guard without rollback");
+    rollback_index_.add(child, g, *at);
   }
 }
 
@@ -131,7 +132,7 @@ void SpeculativeProcess::do_fork(ThreadCtx& t, const csp::ForkStmt& f) {
     // A SAFE fork adds no guess of its own, but any enclosing speculation
     // still guards both threads: inherit the parent's dependencies.
     r.guard = t.guard;
-    inherit_rollbacks(t, r);
+    inherit_rollbacks(t, t.guard, new_index);
     r.has_own_guess = false;
     r.created_at = current_index(t);
 
@@ -224,8 +225,9 @@ void SpeculativeProcess::do_fork(ThreadCtx& t, const csp::ForkStmt& f) {
   r.machine = std::move(right_machine);
   r.guard = t.guard;
   r.guard.add(guess);
-  inherit_rollbacks(t, r);
-  r.rollbacks[guess] = StateIndex{incarnation_, new_index, 0};
+  inherit_rollbacks(t, t.guard, new_index);
+  rollback_index_.add(new_index, guess,
+                      StateIndex{incarnation_, new_index, 0});
   r.has_own_guess = true;
   r.own_guess = guess;
   r.own_site = f.site;
@@ -462,13 +464,9 @@ void SpeculativeProcess::reexecute_right(ThreadCtx& left) {
   apply_state_strategy(r.machine);
   // Keep only the still-relevant dependencies of the left thread.
   for (const auto& g : left.guard) {
-    if (history_.status(g) == GuessStatus::kUnknown) {
-      r.guard.add(g);
-      auto rb = left.rollbacks.find(g);
-      OCSP_CHECK_MSG(rb != left.rollbacks.end(), "guard without rollback");
-      r.rollbacks[g] = rb->second;
-    }
+    if (history_.status(g) == GuessStatus::kUnknown) r.guard.add(g);
   }
+  inherit_rollbacks(left, r.guard, right_index);
   r.has_own_guess = false;
   r.created_at = current_index(left);
 

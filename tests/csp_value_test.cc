@@ -173,7 +173,7 @@ TEST(Env, EqualityAndNames) {
 TEST(Env, CopyIsStructurallyShared) {
   Env a;
   for (int i = 0; i < 32; ++i) {
-    a.set("k" + std::to_string(i), Value(std::string(50, 'v')));
+    a.set(std::string("k") + std::to_string(i), Value(std::string(50, 'v')));
   }
   Env b = a;  // checkpoint: O(1) handle copy
   EXPECT_TRUE(a.shares_root_with(b));

@@ -279,7 +279,8 @@ struct SteppedRun {
 
 /// Run `scenario` one scheduler step at a time and, after every step,
 /// require each process's rollback-point index to agree with a walk over
-/// every thread's rollback map.
+/// every tabled thread's rollback entries, and to hold no entries of a
+/// thread outside the table (a kill or a zombie restore that kept them).
 SteppedRun expect_index_matches_walk(const baseline::Scenario& scenario,
                                      sim::Time deadline) {
   auto rt = baseline::make_runtime(scenario, true);
@@ -298,6 +299,14 @@ SteppedRun expect_index_matches_walk(const baseline::Scenario& scenario,
         ADD_FAILURE() << proc.name() << " after step " << steps << ": index "
                       << index.to_string() << ", walk " << walk.to_string();
         return out;
+      }
+      for (const auto& [thread, entries] : proc.rollback_index().by_thread()) {
+        if (proc.thread(thread) == nullptr) {
+          ADD_FAILURE() << proc.name() << " after step " << steps
+                        << ": untabled thread " << thread << " holds "
+                        << entries.size() << " rollback entries";
+          return out;
+        }
       }
       if (index.any_unresolved) ++out.in_doubt;
     }

@@ -203,6 +203,34 @@ TEST(Liveness, RetryLimitFallsBackUnderSustainedDataLoss) {
       << why;
 }
 
+// A join left waiting on a guard gives up after join_wait_timeout: the
+// waiting guess aborts, and S2 re-executes from the left thread's final
+// state.  Figure 6 has one join that waits (Z's, on x1); Figure 7 has two.
+TEST(Liveness, JoinWaitTimeoutAbortsAndReexecutes) {
+  for (bool crossing : {false, true}) {
+    core::MutualParams p;
+    p.crossing = crossing;
+    p.spec.join_wait_timeout = sim::microseconds(1);
+    const auto scenario = core::mutual_scenario(p);
+    const auto result = baseline::run_scenario(scenario, true);
+    ASSERT_TRUE(result.all_completed) << crossing;
+    EXPECT_FALSE(result.stalled) << crossing;
+    const auto pessimistic = baseline::run_scenario(scenario, false);
+    std::string why;
+    EXPECT_TRUE(trace::compare_traces(pessimistic.trace, result.trace, &why))
+        << crossing << ": " << why;
+    std::size_t timeouts = 0;
+    for (const obs::Event& e : result.recorder->events()) {
+      if (e.kind == obs::EventKind::kAbort &&
+          result.recorder->detail(e) == "join-wait-timeout") {
+        ++timeouts;
+      }
+    }
+    EXPECT_EQ(timeouts, crossing ? 2u : 1u);
+    EXPECT_EQ(result.stats.aborts_timeout, timeouts) << crossing;
+  }
+}
+
 TEST(Liveness, SpeculationDisabledNeverForksSpeculatively) {
   core::PutLineParams p;
   p.lines = 4;

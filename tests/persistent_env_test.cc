@@ -77,7 +77,9 @@ TEST(PersistentValueMap, IterationIsSortedAndDeterministic) {
 
 TEST(PersistentValueMap, IteratorPinsItsSnapshot) {
   PersistentValueMap m;
-  for (int i = 0; i < 8; ++i) m.set("k" + std::to_string(i), Value(i));
+  for (int i = 0; i < 8; ++i) {
+    m.set(std::string("k") + std::to_string(i), Value(i));
+  }
 
   // Mutating mid-loop must not disturb an in-flight traversal: the
   // iterator walks the tree it was created from.
@@ -179,7 +181,8 @@ TEST(PersistentValueMap, PropertyDrainInRandomOrder) {
   PersistentValueMap m;
   Model model;
   for (int i = 0; i < 200; ++i) {
-    const std::string key = "k" + std::to_string(i);
+    std::string key = "k";
+    key += std::to_string(i);
     Value v(std::string(static_cast<std::size_t>(i % 17), 'p'));
     m.set(key, v);
     model[key] = v;

@@ -27,7 +27,8 @@ using csp::var;
 // ---------------------------------------------------------------------------
 
 csp::ExprPtr random_expr(util::Rng& rng, int depth = 0) {
-  const std::string v = "v" + std::to_string(rng.uniform_int(0, 3));
+  const std::string v =
+      std::string("v") + std::to_string(rng.uniform_int(0, 3));
   if (depth >= 2 || rng.bernoulli(0.4)) {
     return rng.bernoulli(0.5) ? var(v)
                               : lit(Value(rng.uniform_int(0, 9)));
@@ -47,10 +48,12 @@ csp::ExprPtr random_expr(util::Rng& rng, int depth = 0) {
 csp::StmtPtr random_client(util::Rng& rng, int length) {
   std::vector<csp::StmtPtr> body;
   for (int i = 0; i < 4; ++i) {
-    body.push_back(csp::assign("v" + std::to_string(i), lit(Value(i))));
+    body.push_back(
+        csp::assign(std::string("v") + std::to_string(i), lit(Value(i))));
   }
   for (int i = 0; i < length; ++i) {
-    const std::string dst = "v" + std::to_string(rng.uniform_int(0, 3));
+    const std::string dst =
+        std::string("v") + std::to_string(rng.uniform_int(0, 3));
     switch (rng.uniform_int(0, 9)) {
       case 0:
       case 1:

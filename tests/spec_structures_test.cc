@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -16,6 +17,7 @@
 #include "speculation/history.h"
 #include "speculation/messages.h"
 #include "speculation/predictor.h"
+#include "speculation/rollback_index.h"
 #include "util/rng.h"
 
 namespace ocsp::spec {
@@ -463,6 +465,147 @@ TEST(Cdg, EdgeAddedTwiceIsOnePredecessor) {
   EXPECT_EQ(cdg.edge_count(), 1u);
   cdg.remove_node(a);
   EXPECT_TRUE(cdg.predecessors(b).empty());
+}
+
+// ---- RollbackIndex ----------------------------------------------------------
+
+StateIndex at(std::uint32_t inc, std::uint32_t thread, std::uint32_t interval) {
+  return StateIndex{inc, thread, interval};
+}
+
+TEST(RollbackIndexDeathTest, AcquiringAHeldGuessFailsACheck) {
+  RollbackIndex index;
+  index.add(1, g(0, 0, 1), at(0, 0, 2));
+  EXPECT_DEATH(index.add(1, g(0, 0, 1), at(0, 1, 3)),
+               "a thread acquired a guess twice");
+  EXPECT_DEATH(index.add(1, g(0, 0, 1), at(0, 0, 2)),
+               "a thread acquired a guess twice");
+  // Another thread may hold the same entry (a fork inherits it).
+  index.add(2, g(0, 0, 1), at(0, 0, 2));
+  EXPECT_EQ(index.size(), 1u);
+  EXPECT_EQ(index.holders(g(0, 0, 1)), (std::vector<std::uint32_t>{1, 2}));
+}
+
+// Reference model: each thread's entries as a plain map, with every
+// derived view recomputed by a walk over all of them.
+using RollbackModel = std::map<std::uint32_t, std::map<GuessId, StateIndex>>;
+
+std::map<std::uint32_t, std::uint32_t> model_targets(const RollbackModel& m) {
+  std::set<std::pair<StateIndex, GuessId>> distinct;
+  for (const auto& [thread, entries] : m) {
+    for (const auto& [guess, point] : entries) distinct.emplace(point, guess);
+  }
+  std::map<std::uint32_t, std::uint32_t> targets;
+  for (const auto& [point, guess] : distinct) ++targets[point.thread];
+  return targets;
+}
+
+TEST(RollbackIndex, MatchesReferenceUnderRandomOps) {
+  constexpr std::uint32_t kThreads = 4;
+  std::vector<GuessId> guesses;
+  for (ProcessId owner = 0; owner < 3; ++owner) {
+    for (std::uint32_t index = 1; index <= 4; ++index) {
+      guesses.push_back(g(owner, index % 2, index));
+    }
+  }
+  util::Rng rng(2029);
+  const auto pick = [&](std::int64_t n) {
+    return static_cast<std::uint32_t>(rng.uniform_int(0, n - 1));
+  };
+  const auto pick_point = [&](std::uint32_t thread) {
+    return at(pick(3), thread, pick(6));
+  };
+  RollbackIndex index;
+  RollbackModel model;
+  for (int op = 0; op < 3000; ++op) {
+    const std::uint32_t t = pick(kThreads);
+    const GuessId guess = guesses[pick(static_cast<std::int64_t>(
+        guesses.size()))];
+    const auto before = model_targets(model);
+    std::set<std::uint32_t> untargeted;
+    std::ostringstream what;
+    const int kind = static_cast<int>(rng.uniform_int(0, 9));
+    if (kind < 5) {
+      if (auto it = model.find(t);
+          it != model.end() && it->second.count(guess) != 0) {
+        continue;  // a thread acquires a guess once
+      }
+      // Inherit another holder's point (shared entries), or acquire at a
+      // point inside the thread or outside it.
+      StateIndex point = pick_point(rng.bernoulli(0.5) ? t : pick(kThreads));
+      for (const auto& [other, entries] : model) {
+        auto it = entries.find(guess);
+        if (it != entries.end() && rng.bernoulli(0.5)) point = it->second;
+      }
+      what << "add T" << t << " " << guess.to_string() << " @"
+           << point.to_string();
+      index.add(t, guess, point);
+      model[t][guess] = point;
+    } else if (kind < 7) {
+      what << "remove T" << t << " " << guess.to_string();
+      index.remove(t, guess, untargeted);
+      if (auto it = model.find(t); it != model.end()) {
+        it->second.erase(guess);
+        if (it->second.empty()) model.erase(it);
+      }
+    } else if (kind < 8) {
+      what << "drop_all T" << t;
+      const std::size_t held = model.count(t) ? model[t].size() : 0;
+      EXPECT_EQ(index.drop_all(t, untargeted), held);
+      model.erase(t);
+    } else {
+      const StateIndex from = pick_point(t);
+      what << "drop_from T" << t << " @" << from.to_string();
+      const std::size_t held = model.count(t) ? model[t].size() : 0;
+      EXPECT_EQ(index.drop_from(t, from, untargeted), held);
+      if (auto it = model.find(t); it != model.end()) {
+        std::erase_if(it->second, [&](const auto& entry) {
+          return entry.second.thread == t && !(entry.second < from);
+        });
+        if (it->second.empty()) model.erase(it);
+      }
+    }
+    SCOPED_TRACE("op " + std::to_string(op) + ": " + what.str());
+
+    const auto after = model_targets(model);
+    std::set<std::uint32_t> want_untargeted;
+    for (const auto& [thread, n] : before) {
+      if (after.count(thread) == 0) want_untargeted.insert(thread);
+    }
+    ASSERT_EQ(untargeted, want_untargeted);
+    ASSERT_EQ(index.target_threads(), after);
+
+    std::set<std::pair<StateIndex, GuessId>> distinct;
+    for (std::uint32_t thread = 0; thread <= kThreads; ++thread) {
+      auto m = model.find(thread);
+      const std::map<GuessId, StateIndex> none;
+      const auto& want = m == model.end() ? none : m->second;
+      ASSERT_EQ(index.entries(thread), want) << "T" << thread;
+      ASSERT_EQ(index.targets(thread), after.count(thread) != 0);
+      for (const GuessId& h : guesses) {
+        auto it = want.find(h);
+        const StateIndex* got = index.point(thread, h);
+        ASSERT_EQ(got != nullptr, it != want.end()) << h.to_string();
+        if (got != nullptr) {
+          ASSERT_EQ(*got, it->second) << h.to_string();
+        }
+      }
+      for (const auto& [h, point] : want) distinct.emplace(point, h);
+    }
+    ASSERT_EQ(index.by_thread().size(), model.size());
+    for (const GuessId& h : guesses) {
+      std::vector<std::uint32_t> holders;
+      for (const auto& [thread, entries] : model) {
+        if (entries.count(h) != 0) holders.push_back(thread);
+      }
+      ASSERT_EQ(index.holders(h), holders) << h.to_string();
+    }
+    ASSERT_EQ(index.size(), distinct.size());
+    ASSERT_EQ(index.empty(), distinct.empty());
+    if (!distinct.empty()) {
+      ASSERT_EQ(index.begin()->first, *distinct.begin());
+    }
+  }
 }
 
 // ---- Predictors ------------------------------------------------------------
