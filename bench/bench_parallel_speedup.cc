@@ -13,6 +13,10 @@
 //     shards' work.  Meaningful on any host, including single-core CI.
 //   - CPU scaling (spin burn): a worker occupies its core, so the curve
 //     shows raw multicore scaling and flattens at the core count.
+// A third curve burns nothing: on a broadcast fan-out the wall clock is
+// then all delivery, control processing and cross-shard handoff, the
+// executor's own cost that burn hides.  It is printed only; it has no
+// google-benchmark entry and no snapshot.
 //
 // Methodology split (EXPERIMENTS.md C14): everything deterministic —
 // committed traces, commits, aborts, GVT windows — is CHECKed here and
@@ -39,21 +43,30 @@ core::ComputeFanoutParams curve_params(int miss_period) {
   return p;
 }
 
+/// The control-plane curve's fan-out: broadcast control (the default), as
+/// large as the end-to-end benchmark's at full size.
+core::ComputeFanoutParams control_params() {
+  core::ComputeFanoutParams p;
+  p.pairs = smoke_mode() ? 16 : 64;
+  p.calls = smoke_mode() ? 8 : 32;
+  return p;
+}
+
 /// Wall-ns of emulated compute per virtual ns of Compute.  Smoke keeps CI
 /// fast; the scale changes only the wall clock, never a gated counter.
 double sleep_scale() { return smoke_mode() ? 2.0 : 20.0; }
 double spin_scale() { return smoke_mode() ? 0.05 : 5.0; }
 
-void curve_report(const char* title, int miss_period, bool sleep_burn,
+void curve_report(const std::string& title,
+                  const core::ComputeFanoutParams& params, bool sleep_burn,
                   double scale) {
-  const auto scenario =
-      core::compute_fanout_scenario(curve_params(miss_period));
+  const auto scenario = core::compute_fanout_scenario(params);
   baseline::Scenario seq = scenario;
   seq.options.per_link_net = true;
   const baseline::RunResult ref = baseline::run_scenario(seq, true);
   OCSP_CHECK(ref.all_completed);
 
-  std::printf("%s\n", title);
+  std::printf("%s\n", title.c_str());
   util::Table table({"workers", "wall ms", "speedup", "virt ms", "commits",
                      "aborts", "gvt windows"});
   double wall_1 = 0.0;
@@ -86,19 +99,28 @@ void report() {
       "trace at every worker count.");
 
   std::printf("Host cores: %u\n\n", std::thread::hardware_concurrency());
-  curve_report("Overlap curve (sleep burn, all guesses verify):", 0,
-               /*sleep_burn=*/true, sleep_scale());
+  curve_report("Overlap curve (sleep burn, all guesses verify):",
+               curve_params(0), /*sleep_burn=*/true, sleep_scale());
   curve_report("Overlap curve, every 4th guess misses (aborts discard real "
                "work):",
-               4, /*sleep_burn=*/true, sleep_scale());
+               curve_params(4), /*sleep_burn=*/true, sleep_scale());
   curve_report("CPU-scaling curve (spin burn; flattens at the core count):",
-               0, /*sleep_burn=*/false, spin_scale());
+               curve_params(0), /*sleep_burn=*/false, spin_scale());
+  const core::ComputeFanoutParams control = control_params();
+  curve_report(std::string("Control-plane curve (no burn, broadcast "
+                           "control, ") +
+                   std::to_string(control.pairs) + " pairs x " +
+                   std::to_string(control.calls) + " calls):",
+               control, /*sleep_burn=*/false, /*scale=*/0.0);
   std::printf(
       "Expected shape: near-linear overlap scaling to 8 workers (one shard\n"
       "per client/server pair); the miss curve pays for re-executed compute\n"
-      "but stays exact; the spin curve tracks min(workers, cores).  Wall\n"
-      "columns are machine-dependent and never gated; every other column is\n"
-      "deterministic and snapshotted in the CI bench gate.\n\n");
+      "but stays exact; the spin curve tracks min(workers, cores); the\n"
+      "control-plane curve, with no burn to hide behind, shows what the\n"
+      "executor's delivery and cross-shard handoff cost per worker count.\n"
+      "Wall columns are machine-dependent and never gated; every other\n"
+      "column is deterministic, and the CI bench gate snapshots the\n"
+      "overlap curves' counters.\n\n");
 }
 
 void BM_ParallelSpeedup(benchmark::State& state) {

@@ -1,6 +1,7 @@
 #include "exec/parallel.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 
 #include "obs/merge.h"
@@ -19,16 +20,21 @@ std::int64_t ns_since(const std::chrono::steady_clock::time_point& epoch) {
 
 }  // namespace
 
-// One shard: a host plus its inbox.  During a window exactly one thread
-// touches the host (its worker); between windows, only the coordinator —
-// except the inbox, whose mutex admits remote senders at any time.
+// One shard: a host plus the cross-shard envelopes it has sent and not yet
+// handed over.  During a window exactly one thread touches the host (its
+// worker); between windows, only the coordinator.
 struct ParallelRuntime::Shard final : spec::Host {
   using Host::Host;
 
-  /// Cross-shard envelope handoff: remote senders push under the mutex,
-  /// the coordinator drains at the window barrier.
-  std::mutex inbox_mu;
-  std::vector<net::Envelope> inbox;
+  /// outbox[dest][parity]: envelopes for shard `dest`'s processes, parked
+  /// until `dest` queues them at the start of the next window.  During a
+  /// window this shard appends under the runtime's current parity only,
+  /// while every destination empties its row of the other parity, so no
+  /// vector is touched by two threads at once and none needs a lock.
+  std::vector<std::array<std::vector<net::Envelope>, 2>> outbox;
+  /// Earliest delivered_at parked since the last barrier (kTimeNever if
+  /// none); the coordinator folds it into the next GVT and resets it.
+  sim::Time parked_min = sim::kTimeNever;
 };
 
 ParallelRuntime::ParallelRuntime(ParallelOptions options)
@@ -43,14 +49,16 @@ ParallelRuntime::ParallelRuntime(ParallelOptions options)
         net_stream(), options_.default_link, /*per_link=*/true,
         options_.fault_plan, options_.reliable));
     Shard& s = *shards_.back();
+    s.outbox.resize(static_cast<std::size_t>(workers_));
     // Cross-shard: delivered_at >= now + lookahead lands at or after the
-    // window fence, so parking it in the inbox until the barrier never
-    // delays it past its due time.
-    s.network().set_router([this, &s](const net::Envelope& env) {
-      Shard& dest = *shards_[shard_of(env.dst)];
-      if (&dest == &s) return false;
-      std::lock_guard<std::mutex> lk(dest.inbox_mu);
-      dest.inbox.push_back(env);
+    // window fence, so parking it until the next window never delays it
+    // past its due time.
+    const auto self = static_cast<std::size_t>(i);
+    s.network().set_router([this, &s, self](const net::Envelope& env) {
+      const std::size_t dest = shard_of(env.dst);
+      if (dest == self) return false;
+      s.outbox[dest][parity_].push_back(env);
+      s.parked_min = std::min(s.parked_min, env.delivered_at);
       return true;
     });
     s.set_compute_hook([this](sim::Time duration) { burn(duration); });
@@ -105,7 +113,7 @@ void ParallelRuntime::start_workers() {
           seen = bar_.epoch;
           target = bar_.target;
         }
-        shards_[static_cast<std::size_t>(i)]->scheduler().run_until(target);
+        run_shard(static_cast<std::size_t>(i), target);
         {
           std::lock_guard<std::mutex> lk(bar_.m);
           if (--bar_.running == 0) bar_.cv.notify_all();
@@ -126,6 +134,19 @@ void ParallelRuntime::stop_workers() {
   pool_.clear();
 }
 
+void ParallelRuntime::run_shard(std::size_t i, sim::Time target) {
+  // Queue what every shard parked for this one in the window that just
+  // ended, before running any event: the last window wrote the parity the
+  // coordinator has since flipped away from, and nothing writes it now.
+  Shard& shard = *shards_[i];
+  for (auto& s : shards_) {
+    std::vector<net::Envelope>& box = s->outbox[i][parity_ ^ 1];
+    for (net::Envelope& env : box) shard.network().deliver(std::move(env));
+    box.clear();
+  }
+  shard.scheduler().run_until(target);
+}
+
 void ParallelRuntime::run_window(sim::Time target) {
   if (workers_ > 1) {
     {
@@ -136,7 +157,7 @@ void ParallelRuntime::run_window(sim::Time target) {
     }
     bar_.cv.notify_all();
   }
-  shards_[0]->scheduler().run_until(target);
+  run_shard(0, target);
   if (workers_ > 1) {
     std::unique_lock<std::mutex> lk(bar_.m);
     bar_.cv.wait(lk, [&]() { return bar_.running == 0; });
@@ -159,32 +180,32 @@ sim::Time ParallelRuntime::run(sim::Time deadline) {
   // A crash at virtual time T sits in the victim's shard queue and takes
   // part in GVT like any pending event, so it fires inside the window
   // containing T; its incarnation bump reaches remote dependents as
-  // ordinary messages through the inboxes drained at the next barrier.
+  // ordinary messages through the outboxes handed over at the next window.
+  // Sends made here park under the first parity and count toward the
+  // first GVT.
   start(options_.fault_plan);
   start_workers();
 
   for (;;) {
-    // (1) Drain cross-shard inboxes.  Workers are parked at the barrier,
-    // so touching shard schedulers here is single-threaded.
-    sim::Time min_drained = sim::kTimeNever;
-    for (auto& s : shards_) {
-      std::vector<net::Envelope> pending;
-      {
-        std::lock_guard<std::mutex> lk(s->inbox_mu);
-        pending.swap(s->inbox);
-      }
-      for (const net::Envelope& env : pending) {
-        min_drained = std::min(min_drained, env.delivered_at);
-        s->network().deliver(env);
-      }
-    }
-
-    // (2) GVT: earliest pending event anywhere.  Every drained delivery is
-    // already enqueued, so nothing in flight can precede it.
+    // (1) GVT: earliest pending event or parked envelope anywhere.  Workers
+    // wait at the barrier, so reading shard state here is single-threaded.
+    // An envelope parked in the last window is not queued yet, but it is
+    // due no earlier than that window's end.
+    sim::Time parked = sim::kTimeNever;
     sim::Time gvt = sim::kTimeNever;
-    for (auto& s : shards_) gvt = std::min(gvt, s->scheduler().next_time());
+    for (auto& s : shards_) {
+      parked = std::min(parked, s->parked_min);
+      gvt = std::min(gvt, s->scheduler().next_time());
+    }
+    gvt = std::min(gvt, parked);
     if (gvt == sim::kTimeNever) break;
     if (deadline != sim::kTimeNever && gvt > deadline) break;
+
+    // (2) Consume the parked minima and flip the parity: each shard queues
+    // what the last window parked for it as the next one opens, while new
+    // sends park under the other parity.
+    for (auto& s : shards_) s->parked_min = sim::kTimeNever;
+    parity_ ^= 1;
 
     // (3) Run the window [gvt, end) on all shards concurrently.  Events in
     // it are cross-shard independent: anything they send lands >= gvt + L.
@@ -192,7 +213,7 @@ sim::Time ParallelRuntime::run(sim::Time deadline) {
                               ? gvt + lookahead_
                               : std::min(gvt + lookahead_, deadline + 1);
     run_window(end - 1);
-    windows_.push_back(WindowStats{gvt, end, min_drained});
+    windows_.push_back(WindowStats{gvt, end, parked});
   }
 
   if (deadline != sim::kTimeNever) return deadline;
@@ -208,8 +229,12 @@ sim::Time ParallelRuntime::run(sim::Time deadline) {
 
 bool ParallelRuntime::drained() const {
   for (const auto& s : shards_) {
-    std::lock_guard<std::mutex> lk(s->inbox_mu);
-    if (!s->scheduler().empty() || !s->inbox.empty()) return false;
+    if (!s->scheduler().empty()) return false;
+    for (const auto& boxes : s->outbox) {
+      for (const auto& box : boxes) {
+        if (!box.empty()) return false;
+      }
+    }
   }
   return true;
 }

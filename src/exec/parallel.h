@@ -13,8 +13,9 @@
 // message's fate (loss, latency, bandwidth, FIFO, fault verdict, send
 // trace, duplicates) on every executor.  An envelope for a process on
 // another shard goes to the network's routing hook, which parks it in the
-// destination shard's inbox; at the window barrier the coordinator queues
-// it through the destination network's own net::Network::deliver.
+// sending shard's outbox for that destination; when the next window opens,
+// the destination shard moves it into its own network's
+// net::Network::deliver before it runs any event.
 //
 // Synchronization is a conservative window barrier (bounded-lag / YAWNS
 // style), which in OCSP's setting is exactly a GVT fence:
@@ -22,13 +23,16 @@
 //   * lookahead L = the minimum latency any configured link can produce
 //     (net::Network::min_link_delay); a message sent at virtual time t is
 //     delivered no earlier than t + L.
-//   * GVT = min over shards of the earliest pending event.  All events in
-//     the window [GVT, GVT + L) are mutually independent across shards —
-//     any message one of them sends lands at or after GVT + L — so the
-//     shards execute the window concurrently with no locks on the fast
-//     path.  At the window barrier the coordinator drains the cross-shard
-//     inboxes (MPSC handoff, one mutex per shard touched only by remote
-//     senders), recomputes GVT, and opens the next window.
+//   * GVT = min over shards of the earliest pending event and the earliest
+//     parked envelope.  All events in the window [GVT, GVT + L) are
+//     mutually independent across shards — any message one of them sends
+//     lands at or after GVT + L — so the shards execute the window
+//     concurrently with no locks.  Outboxes are double-buffered by window
+//     parity: during a window each shard appends only under the current
+//     parity and the destinations empty the other one.  At the window
+//     barrier the coordinator recomputes GVT, flips the parity, and opens
+//     the next window; every shard then queues what the last window parked
+//     for it, in parallel with the others, and runs.
 //   * Commit/abort/cascade below GVT are final: no in-flight message can
 //     land before it, which is what makes the fence a GVT in the Time Warp
 //     sense.  Speculation state is freed by each process's own
@@ -49,8 +53,10 @@
 // Memory ordering: all shard state (hosts and the processes on them) is
 // owned by exactly one thread during a window and by the coordinator
 // between windows; every ownership handoff goes through the barrier mutex,
-// which establishes the happens-before edges.  The only concurrently
-// touched structures are the per-shard inbox mutexes.
+// which establishes the happens-before edges.  An outbox row changes hands
+// the same way: its sender fills it in one window, the barrier passes it
+// on, and its destination empties it in the next.  The barrier mutex is the
+// only lock.
 //
 // Faults under sharding (DESIGN.md section 13): fault plans and the
 // reliable transport run here with the same semantics as the simulator.
@@ -64,7 +70,7 @@
 // into the victim's shard queue at their plan times: a crash at virtual
 // time T fires inside the window containing T, and the incarnation bump it
 // causes reaches remote dependents as ordinary messages (explicit ABORTs,
-// or tags piggybacked on reliable frames) through the MPSC inboxes,
+// or tags piggybacked on reliable frames) through the outboxes,
 // driving SpeculativeProcess::observe_peer_incarnation's rollback fixpoint
 // across shard boundaries.
 #pragma once
@@ -120,11 +126,12 @@ struct ParallelOptions {
 /// One GVT window as the coordinator saw it (the fencing audit trail the
 /// GVT unit tests assert over).
 struct WindowStats {
-  sim::Time gvt = 0;  ///< earliest pending event when the window opened
+  /// Earliest pending event or parked envelope when the window opened.
+  sim::Time gvt = 0;
   sim::Time end = 0;  ///< exclusive window end: min(gvt + L, deadline + 1)
-  /// Earliest delivery time among cross-shard messages drained at this
-  /// window's barrier (kTimeNever if none); never below `gvt` — the
-  /// straggler-safety invariant.
+  /// Earliest delivery time among the cross-shard messages the shards
+  /// drained from their peers' outboxes at this window's start (kTimeNever
+  /// if none); never below `gvt` — the straggler-safety invariant.
   sim::Time min_drained_delivery = sim::kTimeNever;
 };
 
@@ -147,7 +154,7 @@ class ParallelRuntime final : public spec::ProcessTable {
   sim::Time run(sim::Time deadline = sim::kTimeNever);
 
   int workers() const { return workers_; }
-  /// Every shard's event queue and inbox is empty: the run ended because
+  /// Every shard's event queue and outbox is empty: the run ended because
   /// nothing was left to do, not at its deadline.
   bool drained() const;
   /// Window length: minimum latency over all configured links.  Valid
@@ -191,6 +198,9 @@ class ParallelRuntime final : public spec::ProcessTable {
   }
   spec::Host& host_for(ProcessId id) override;
   void burn(sim::Time duration) const;
+  /// Queue what the last window parked for shard `i`, then run it to
+  /// `target`.
+  void run_shard(std::size_t i, sim::Time target);
   void run_window(sim::Time target);
   void start_workers();
   void stop_workers();
@@ -200,6 +210,9 @@ class ParallelRuntime final : public spec::ProcessTable {
   sim::Time lookahead_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<WindowStats> windows_;
+  /// Outbox parity that sends park under: written by the coordinator only
+  /// between windows, read by the shards' routers during one.
+  std::size_t parity_ = 0;
   Barrier bar_;
   std::vector<std::thread> pool_;
 };

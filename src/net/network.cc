@@ -205,12 +205,13 @@ void Network::route(const Envelope& env) {
   deliver(env);
 }
 
-void Network::deliver(const Envelope& env) {
+void Network::deliver(Envelope env) {
   // The low 32 bits of a per-link id are the link sequence number.
   const std::uint64_t prio =
       per_link_ ? link_prio(env.src, env.dst, env.id & 0xffffffff)
                 : sim::Scheduler::kDefaultPrio;
-  auto fire = [this, env]() {
+  const sim::Time when = env.delivered_at;
+  auto fire = [this, env = std::move(env)]() {
     OCSP_CHECK_MSG(env.dst < endpoints_.size() && endpoints_[env.dst],
                    "delivery to unknown endpoint");
     ++stats_.messages_delivered;
@@ -223,7 +224,7 @@ void Network::deliver(const Envelope& env) {
   // heap allocation per delivery.
   static_assert(sim::Scheduler::Callback::kStoredInline<decltype(fire)>,
                 "delivery closure outgrew the scheduler's inline storage");
-  sched_.at(env.delivered_at, prio, std::move(fire));
+  sched_.at(when, prio, std::move(fire));
 }
 
 }  // namespace ocsp::net

@@ -110,8 +110,10 @@ class Network {
   /// Queue the delivery of an envelope that send() produced, on this
   /// network or on one whose router handed it here.  The same-time priority
   /// is a pure function of the message identity in per-link mode, so the
-  /// schedule does not depend on which network queues the envelope.
-  void deliver(const Envelope& env);
+  /// schedule does not depend on which network queues the envelope.  Takes
+  /// the envelope by value: a caller that hands it over moves the payload
+  /// pointer into the delivery instead of copying it.
+  void deliver(Envelope env);
 
   // ---- deterministic per-link mode ----------------------------------------
   //

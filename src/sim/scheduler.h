@@ -9,7 +9,7 @@
 // the insertion sequence (see at(t, prio, cb)).  Insertion order is a fine
 // tie-break inside ONE scheduler, but it is not reproducible across
 // executors that discover the same events in different orders (e.g. the
-// sharded parallel runtime draining cross-shard inboxes).  A priority that
+// sharded parallel runtime draining cross-shard outboxes).  A priority that
 // is a pure function of the event's identity — not of when the scheduler
 // learned about it — makes the schedule executor-independent.
 //

@@ -25,7 +25,10 @@ void SpeculativeProcess::on_message(const net::Envelope& env) {
     ++stats_.crash_messages_dropped;
     return;
   }
-  if (auto ctl = std::dynamic_pointer_cast<const ControlMessage>(env.payload)) {
+  // A plain cast: the delivery holds `env`, and with it the payload, for
+  // the whole handler, so no reference count need move.
+  if (const auto* ctl =
+          dynamic_cast<const ControlMessage*>(env.payload.get())) {
     {
       obs::Event ev = make_event(obs::EventKind::kControlReceived);
       ev.peer = env.src;

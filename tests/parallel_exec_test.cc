@@ -339,6 +339,88 @@ TEST(ParallelGvt, SingleShardReproducesSimulatorEventOrderBitForBit) {
   }
 }
 
+// Metrics (counters and gauges), window triples and the merged event stream
+// (wall_ns left out) of one run, as text that repeats exactly between runs.
+struct RunFingerprint {
+  std::string metrics;
+  std::string windows;
+  std::string events;
+};
+
+RunFingerprint fingerprint(const exec::ParallelRunResult& run) {
+  RunFingerprint f;
+  std::ostringstream m;
+  for (const auto& [name, value] : run.result.metrics.counters()) {
+    m << name << '=' << value << '\n';
+  }
+  for (const auto& [name, value] : run.result.metrics.gauges()) {
+    m << name << '=' << value << '\n';
+  }
+  f.metrics = m.str();
+  std::ostringstream w;
+  for (const auto& win : run.windows) {
+    w << win.gvt << ' ' << win.end << ' ' << win.min_drained_delivery << '\n';
+  }
+  f.windows = w.str();
+  f.events = serialize_events(*run.result.recorder);
+  return f;
+}
+
+// The first line where `a` and `b` differ, for a readable failure.
+std::string first_difference(const std::string& a, const std::string& b) {
+  std::istringstream sa(a);
+  std::istringstream sb(b);
+  std::string la;
+  std::string lb;
+  for (int line = 1;; ++line) {
+    const bool more_a = static_cast<bool>(std::getline(sa, la));
+    const bool more_b = static_cast<bool>(std::getline(sb, lb));
+    if (!more_a && !more_b) return "none";
+    if (!more_a || !more_b || la != lb) {
+      return std::string("line ") + std::to_string(line) + ": '" +
+             (more_a ? la : "<end>") + "' vs '" + (more_b ? lb : "<end>") +
+             "'";
+    }
+  }
+}
+
+// A shard must queue exactly the envelopes its peers parked before the
+// barrier, never a peer's current-window sends.  Queuing those early keeps
+// the committed trace, but how many a shard sees depends on thread timing,
+// so its queue peaks differently from run to run.  expect_same_run cannot
+// see that (the sequential run's peak differs anyway), so repeats of one
+// broadcast fan-out must agree on every counter and gauge
+// (sim_peak_pending included), every window, and every recorded event.
+// 16 pairs x 8 calls is the smallest fan-out at which a locked per-shard
+// inbox, swapped at each shard's own window start, failed this test on
+// every try (its 8-worker repeats peak at different sim_peak_pending).
+TEST(ParallelGvt, CrossShardHandoffRepeatsExactly) {
+  core::ComputeFanoutParams p;
+  p.pairs = 16;
+  p.calls = 8;
+  const baseline::Scenario scenario = core::compute_fanout_scenario(p);
+  for (int workers : {2, 4, 8}) {
+    const std::string label = std::string("workers=") +
+                              std::to_string(workers);
+    const RunFingerprint first = fingerprint(exec::run_scenario_parallel(
+        scenario, workers, true, 0.0, kDeadline));
+    ASSERT_FALSE(first.windows.empty()) << label;
+    for (int repeat = 1; repeat < 3; ++repeat) {
+      const RunFingerprint again = fingerprint(exec::run_scenario_parallel(
+          scenario, workers, true, 0.0, kDeadline));
+      EXPECT_TRUE(first.metrics == again.metrics)
+          << label << " metrics, first difference at "
+          << first_difference(first.metrics, again.metrics);
+      EXPECT_TRUE(first.windows == again.windows)
+          << label << " windows, first difference at "
+          << first_difference(first.windows, again.windows);
+      EXPECT_TRUE(first.events == again.events)
+          << label << " events, first difference at "
+          << first_difference(first.events, again.events);
+    }
+  }
+}
+
 // The merged stream carries both clocks on every event, and the profiler's
 // time accounting partitions it exactly, as it does a sequential run's.
 TEST(ParallelGvt, MergedRecorderKeepsWallStampsAndAllEvents) {

@@ -212,10 +212,10 @@ TEST(ParallelChaos, CrashUnwindsCrossShardDependentsWithoutExplicitAborts) {
   // guess misses in the mix, then crashes mid-stream while a partition
   // spanning the crash eats everything in flight — including the explicit
   // ABORTs of X's failed guesses.  Y's unwinding therefore leans on the
-  // incarnation machinery crossing the shard boundary: the bump rides into
-  // Y's MPSC inbox (frame tags and the surviving control re-broadcasts),
-  // dead-incarnation traffic is filtered as orphans, and the rollback
-  // fixpoint runs on Y's own shard.
+  // incarnation machinery crossing the shard boundary: the bump reaches
+  // Y's shard through X's shard's outbox (frame tags and the surviving
+  // control re-broadcasts), dead-incarnation traffic is filtered as
+  // orphans, and the rollback fixpoint runs on Y's own shard.
   core::PutLineParams params = chaos_params();
   params.fail_probability = 0.3;  // pre-crash misses: real ABORTs in flight
   const auto reference =
