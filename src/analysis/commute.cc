@@ -49,11 +49,6 @@ bool ops_commute(const csp::OpCommSpec& a, const csp::OpCommSpec& b) {
   return true;
 }
 
-CommLevel GroupFootprint::at(const std::string& group) const {
-  auto it = levels.find(group);
-  return it == levels.end() ? CommLevel::kNone : it->second;
-}
-
 void GroupFootprint::join(const GroupFootprint& other) {
   for (const auto& [g, l] : other.levels) {
     auto [it, inserted] = levels.emplace(g, l);
@@ -72,14 +67,6 @@ std::string GroupFootprint::to_string() const {
   }
   out += complete ? "}" : "} (incomplete)";
   return out;
-}
-
-bool footprints_compat(const GroupFootprint& a, const GroupFootprint& b) {
-  if (!a.complete || !b.complete) return false;
-  for (const auto& [g, l] : a.levels) {
-    if (!level_compat(l, b.at(g))) return false;
-  }
-  return true;
 }
 
 // ---- summary tables --------------------------------------------------------

@@ -62,12 +62,9 @@ struct GroupFootprint {
   std::map<std::string, csp::CommLevel> levels;
   bool complete = true;
 
-  csp::CommLevel at(const std::string& group) const;
   void join(const GroupFootprint& other);
   std::string to_string() const;
 };
-
-bool footprints_compat(const GroupFootprint& a, const GroupFootprint& b);
 
 // ---- Summary tables and the cross-process context -------------------------
 

@@ -47,11 +47,6 @@ std::set<std::string> CommEffects::may_targets() const {
   return out;
 }
 
-bool CommEffects::may_communicate() const {
-  return opaque || unknown_target || may_receive || may_print || may_reply ||
-         !may_call_targets.empty() || !may_send_targets.empty();
-}
-
 void CommEffects::merge_seq(const CommEffects& next) {
   union_into(reads, next.reads);
   union_into(writes, next.writes);

@@ -61,9 +61,6 @@ struct CommEffects {
 
   /// Union of may call+send targets.
   std::set<std::string> may_targets() const;
-  /// True when the fragment may interact with any other process or the
-  /// external world (conservative when opaque).
-  bool may_communicate() const;
   /// True when no proof of target absence is possible for this fragment.
   bool targets_unknowable() const { return opaque || unknown_target; }
 

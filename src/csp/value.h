@@ -41,7 +41,6 @@ class Value {
       : data_(std::make_shared<const ValueList>(std::move(l))) {}
 
   Type type() const;
-  bool is_nil() const { return type() == Type::kNil; }
 
   /// Typed accessors; OCSP_CHECK-fail on type mismatch.
   bool as_bool() const;

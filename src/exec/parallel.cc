@@ -173,10 +173,6 @@ sim::Time ParallelRuntime::run(sim::Time deadline) {
   OCSP_CHECK_MSG(lookahead_ > 0,
                  "parallel execution needs a positive minimum link latency");
 
-  const auto epoch = std::chrono::steady_clock::now();
-  for (auto& s : shards_) {
-    s->recorder().set_wall_clock([epoch]() { return ns_since(epoch); });
-  }
   // A crash at virtual time T sits in the victim's shard queue and takes
   // part in GVT like any pending event, so it fires inside the window
   // containing T; its incarnation bump reaches remote dependents as

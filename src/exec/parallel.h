@@ -170,8 +170,9 @@ class ParallelRuntime final : public spec::ProcessTable {
   /// sender's shard, deliveries on the receiver's).
   net::NetworkStats network_stats() const;
 
-  /// All shard event streams merged by (virtual time, shard); wall_ns
-  /// stamps survive the merge.
+  /// All shard event streams merged by (virtual time, shard); each
+  /// process's events keep their recording order, as in the sequential
+  /// per-link run.
   std::shared_ptr<obs::RunRecorder> merged_recorder() const;
 
   /// Per-shard recorder (shards=1 oracle compares stream 0 bit-for-bit).

@@ -57,9 +57,6 @@ struct FaultPlan {
   std::vector<PartitionWindow> partitions;
   std::vector<CrashEvent> crashes;
 
-  bool any_message_faults() const {
-    return enabled && (data.any() || control.any() || !partitions.empty());
-  }
   bool has_crashes() const { return enabled && !crashes.empty(); }
 
   /// Compact human-readable summary ("drop(d=0.21,c=0.21)+crash(p1)").

@@ -186,8 +186,13 @@ MsgId Network::send(ProcessId src, ProcessId dst, MessagePtr payload) {
   }
 
   if (send_tracer_) send_tracer_(env);
+  // The original first, then its duplicates, each a copy of it; with none
+  // to follow, the original is handed over whole.
+  if (fault.duplicates == 0) {
+    route(std::move(env));
+    return id;
+  }
   route(env);
-
   for (int i = 0; i < fault.duplicates; ++i) {
     ++stats_.faults_duplicated;
     Envelope dup = env;
@@ -195,14 +200,14 @@ MsgId Network::send(ProcessId src, ProcessId dst, MessagePtr payload) {
         deliver_at + sim::microseconds(1 + fault_draws.uniform_int(0, 200));
     OCSP_DLOG << "net: fault duplicate #" << id << " " << src << "->" << dst
               << " @" << dup.delivered_at << " (" << fault.cause << ")";
-    route(dup);
+    route(std::move(dup));
   }
   return id;
 }
 
-void Network::route(const Envelope& env) {
+void Network::route(Envelope env) {
   if (router_ && router_(env)) return;
-  deliver(env);
+  deliver(std::move(env));
 }
 
 void Network::deliver(Envelope env) {

@@ -214,8 +214,9 @@ class Network {
     return link.config == 0 ? default_link_ : configs_[link.config - 1];
   }
   LinkStreams& streams_of(Link& link, ProcessId src, ProcessId dst);
-  /// Hand `env` to the router, or queue it here.
-  void route(const Envelope& env);
+  /// Hand `env` to the router, or queue it here (moving it into the
+  /// delivery).
+  void route(Envelope env);
 
   sim::Scheduler& sched_;
   util::Rng rng_;

@@ -89,7 +89,7 @@ void ReliableTransport::on_network_delivery(ProcessId id, const Envelope& env) {
   OCSP_CHECK_MSG(epit != endpoints_.end(), "reliable: unknown endpoint");
   Endpoint& ep = epit->second;
 
-  if (auto ack = std::dynamic_pointer_cast<const AckFrame>(env.payload)) {
+  if (const auto* ack = dynamic_cast<const AckFrame*>(env.payload.get())) {
     auto it = pending_.find(ack->seq());
     if (it != pending_.end()) {
       sched_.cancel(it->second.timer);
@@ -98,8 +98,8 @@ void ReliableTransport::on_network_delivery(ProcessId id, const Envelope& env) {
     return;
   }
 
-  if (auto frame =
-          std::dynamic_pointer_cast<const ReliableFrame>(env.payload)) {
+  if (const auto* frame =
+          dynamic_cast<const ReliableFrame*>(env.payload.get())) {
     // Ack unconditionally — even duplicates and frames parked while the
     // endpoint is down.  Retransmits of messages a rollback has since
     // orphaned thus self-terminate at the sender without any coupling

@@ -141,7 +141,6 @@ class ReliableTransport {
   /// drops them while crashed).  Bringing the endpoint back up flushes the
   /// parked frames in arrival order on the next scheduler step.
   void set_down(ProcessId id, bool down);
-  bool is_down(ProcessId id) const { return down_.count(id) > 0; }
 
   void set_retransmit_observer(RetransmitObserver obs) {
     retransmit_observer_ = std::move(obs);

@@ -44,8 +44,9 @@ enum class EventKind : std::uint8_t {
   kExternalDiscarded,  ///< buffered external output destroyed by an abort
   kMsgSent,            ///< network accepted a message for delivery
   kMsgDelivered,       ///< network delivered a message
-  kCheckpointTaken,    ///< state snapshot stored; a = bytes materialized,
-                       ///< b = bytes structurally shared (COW)
+  kCheckpointTaken,    ///< state snapshot stored; a = bytes materialized
+                       ///< (bytes structurally shared are counted in
+                       ///< SpecStats::checkpoint_bytes_shared)
   kComputeDone,        ///< a Compute statement finished; a = duration (ns)
   kWorkDiscarded,      ///< an abort/rollback threw away prior compute;
                        ///< a = discarded ns, guess = killed thread's own
@@ -98,26 +99,22 @@ struct GuessRef {
   std::string to_string() const;
 };
 
-/// One recorded occurrence.  Trivially copyable and at most 96 bytes, so a
+/// One recorded occurrence.  Trivially copyable and at most 72 bytes, so a
 /// recorder's vector grows by memcpy: fields are ordered widest first to
-/// leave no padding but the tail's.  The free-text part (fork site, message
-/// description, fine reason) lives in the recording RunRecorder's string
-/// table; `detail` is its id there, meaningless in any other recorder.
-/// Read it back with RunRecorder::detail.
+/// leave no padding but the tail's.  An event holds only what a reader
+/// (the profiler, attribution, the Chrome trace, the timelines) uses; a
+/// fact no reader needs per event is a counter or a histogram instead.
+/// The free-text part (fork site, message description, fine reason) lives
+/// in the recording RunRecorder's string table; `detail` is its id there,
+/// meaningless in any other recorder.  Read it back with
+/// RunRecorder::detail.
 struct Event {
   sim::Time when = 0;
-  /// Optional wall-clock timestamp (ns since the run started) beside the
-  /// virtual `when`; -1 on simulator runs.  exec::ParallelRuntime's shard
-  /// recorders stamp it on every event.
-  std::int64_t wall_ns = -1;
   MsgId msg_id = 0;
   std::uint64_t a = 0;  ///< kind-specific: fan-out, threads killed, ...
-  std::uint64_t b = 0;  ///< kind-specific: messages requeued, dwell ns, ...
   ProcessId process = kNoProcess;  ///< recording process
   ProcessId peer = kNoProcess;     ///< other endpoint (messages)
   std::uint32_t thread = 0;        ///< thread index within `process`
-  std::uint32_t interval = 0;      ///< interval within `thread`
-  std::uint32_t incarnation = 0;   ///< recording process's incarnation
   GuessRef guess;                  ///< primary subject guess
   GuessRef guess_from;             ///< CDG edge source (kCdgEdgeAdded)
   /// Id of the detail string in the recording RunRecorder's table; 0 is
@@ -129,7 +126,7 @@ struct Event {
 };
 static_assert(std::is_trivially_copyable_v<Event>,
               "recorder growth must stay a memcpy");
-static_assert(sizeof(Event) <= 96, "obs::Event outgrew 96 bytes");
+static_assert(sizeof(Event) <= 72, "obs::Event outgrew 72 bytes");
 
 const char* to_string(EventKind k);
 const char* to_string(AbortReason r);

@@ -20,7 +20,7 @@
 //       bound on achievable speedup.
 //
 // All accounting runs on the event `when` clock, which is virtual time on
-// every executor; the sharded executor's recorders also stamp wall_ns.
+// every executor; events carry no wall-clock time.
 #pragma once
 
 #include <array>

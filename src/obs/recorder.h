@@ -11,7 +11,8 @@
 // interned into one string table per recorder; an Event carries the id.
 // Most events repeat a few strings (message kinds, fork sites), so the
 // table holds far fewer strings than there are events, and each stored
-// event is a fixed 96-byte record.
+// event is a fixed 72-byte record.  Recording reads no clock: an event's
+// only time is its virtual `when`.
 #pragma once
 
 #include <algorithm>
@@ -21,7 +22,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "obs/events.h"
@@ -36,21 +36,12 @@ class RunRecorder {
   void set_enabled(bool enabled) { enabled_ = enabled; }
   bool enabled() const { return enabled_; }
 
-  /// Install a wall-clock source (ns since run start).  When set, every
-  /// recorded event without an explicit wall_ns gets stamped, as the
-  /// sharded executor's recorders are.  Simulator runs leave it unset and
-  /// events keep wall_ns == -1.
-  void set_wall_clock(std::function<std::int64_t()> clock) {
-    wall_clock_ = std::move(clock);
-  }
-
   /// Store `e`.  A non-empty `detail` is interned and replaces e.detail;
   /// an empty one keeps e.detail, which must then be 0 or an id of this
   /// recorder's table.  Nothing is interned while recording is disabled.
   void record(Event e, std::string_view detail = {}) {
     if (!enabled_) return;
     if (!detail.empty()) e.detail = intern(detail);
-    if (wall_clock_ && e.wall_ns < 0) e.wall_ns = wall_clock_();
     events_.push_back(e);
   }
 
@@ -99,10 +90,6 @@ class RunRecorder {
     });
   }
 
-  /// Drop the stored events.  The string table stays, so ids handed out
-  /// earlier keep their meaning.
-  void clear() { events_.clear(); }
-
  private:
   struct StringHash {
     using is_transparent = void;
@@ -112,7 +99,6 @@ class RunRecorder {
   };
 
   bool enabled_ = true;
-  std::function<std::int64_t()> wall_clock_;
   std::vector<Event> events_;
   /// Interned strings by id - 1; each points at its key in ids_, whose
   /// nodes never move.

@@ -74,8 +74,6 @@ obs::Event make_msg_event(obs::EventKind kind, const net::Envelope& env,
   ev.peer = sent ? env.dst : env.src;
   ev.msg_id = env.id;
   ev.a = env.payload->wire_size();
-  // A send observed with delivered_at == 0 was dropped by the link.
-  ev.b = sent && env.delivered_at == 0 ? 1 : 0;
   const auto* ctl = dynamic_cast<const ControlMessage*>(env.payload.get());
   if (ctl) {
     switch (ctl->control) {

@@ -125,7 +125,6 @@ obs::Event SpeculativeProcess::make_event(obs::EventKind kind) const {
   ev.kind = kind;
   ev.when = host_.scheduler().now();
   ev.process = id_;
-  ev.incarnation = incarnation_;
   return ev;
 }
 
@@ -158,7 +157,6 @@ void SpeculativeProcess::record_work_discarded(const ThreadCtx& t,
   if (discarded_ns <= 0) return;
   obs::Event ev = make_event(obs::EventKind::kWorkDiscarded);
   ev.thread = t.index;
-  ev.interval = t.interval;
   ev.a = static_cast<std::uint64_t>(discarded_ns);
   std::string_view site;
   if (t.has_own_guess) {
@@ -314,7 +312,6 @@ bool SpeculativeProcess::handle_effect(ThreadCtx& t, csp::Effect effect) {
         external_buffered_at_[{t.index, pos}] = host_.scheduler().now();
         obs::Event oe = make_event(obs::EventKind::kExternalBuffered);
         oe.thread = t.index;
-        oe.interval = t.interval;
         oe.a = pos;
         record(oe, effect.value.to_string());
       }
@@ -335,7 +332,6 @@ bool SpeculativeProcess::handle_effect(ThreadCtx& t, csp::Effect effect) {
             th.compute_ns += duration;
             obs::Event ev = make_event(obs::EventKind::kComputeDone);
             ev.thread = idx;
-            ev.interval = th.interval;
             ev.a = static_cast<std::uint64_t>(duration);
             std::string_view site;
             if (th.has_own_guess) {
@@ -360,7 +356,6 @@ bool SpeculativeProcess::handle_effect(ThreadCtx& t, csp::Effect effect) {
         set_phase(t, ThreadCtx::Phase::kDoneWaitGuard);
         obs::Event ev = make_event(obs::EventKind::kThreadBlocked);
         ev.thread = t.index;
-        ev.interval = t.interval;
         ev.a = t.guard.size();
         record(ev);
         after_guard_change();
@@ -454,7 +449,6 @@ void SpeculativeProcess::flush_events(ThreadCtx& t) {
       auto buffered = external_buffered_at_.find({t.index, t.flushed_count});
       if (buffered != external_buffered_at_.end()) {
         const sim::Time dwell = host_.scheduler().now() - buffered->second;
-        oe.b = static_cast<std::uint64_t>(dwell);
         obs::external_dwell_hist(live_metrics_)
             .add(static_cast<double>(dwell) / 1000.0);
         external_buffered_at_.erase(buffered);
@@ -497,7 +491,6 @@ void SpeculativeProcess::check_completion() {
     program_finished_ = true;
     obs::Event ev = make_event(obs::EventKind::kThreadResolved);
     ev.thread = t.index;
-    ev.interval = t.interval;
     record(ev);
   }
   if (!program_finished_) return;
@@ -537,10 +530,8 @@ void SpeculativeProcess::take_checkpoint(const ThreadCtx& t) {
   {
     obs::Event ev = make_event(obs::EventKind::kCheckpointTaken);
     ev.thread = t.index;
-    ev.interval = t.interval;
     const bool deep = config_.state == StateStrategy::kDeepCopy;
     ev.a = deep ? payload : sizeof(csp::Env);
-    ev.b = deep ? 0 : payload;
     record(ev);
   }
   const StateIndex at = current_index(t);

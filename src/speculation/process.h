@@ -212,7 +212,6 @@ class SpeculativeProcess {
   const ThreadCtx* thread(std::uint32_t index) const;
   std::uint32_t current_incarnation() const { return incarnation_; }
   bool crashed() const { return crashed_; }
-  std::size_t pending_message_count() const { return pending_.size(); }
   std::size_t checkpoint_count() const;
   std::size_t input_log_size() const;
   /// Env of every retained checkpoint, keyed by state index (deterministic
@@ -381,11 +380,10 @@ class SpeculativeProcess {
   /// and the thread comes back from there before the cascade.  An own-guess
   /// abort passes its guess as `root`, whose ABORT goes out before the
   /// cascade's.  The dead threads' rollback entries go; the restored
-  /// thread keeps those that predate the restore point.  Returns how many
-  /// inputs were requeued.
-  std::size_t discard_threads(const std::vector<std::uint32_t>& doomed,
-                              const std::optional<StateIndex>& restore,
-                              const GuessId& root, std::vector<GuessId>& died);
+  /// thread keeps those that predate the restore point.
+  void discard_threads(const std::vector<std::uint32_t>& doomed,
+                       const std::optional<StateIndex>& restore,
+                       const GuessId& root, std::vector<GuessId>& died);
   /// Drop `thread`'s log records keyed after `after` (all when absent),
   /// moving its inputs to `inputs`.
   void cut_log(std::uint32_t thread, const std::optional<StateIndex>& after,

@@ -270,8 +270,7 @@ void SpeculativeProcess::rollback_to(const StateIndex& target) {
     if (t.created_at > target || idx == target.thread) doomed.push_back(idx);
   }
   std::vector<GuessId> died;
-  const std::size_t requeued =
-      discard_threads(doomed, target, GuessId{}, died);
+  discard_threads(doomed, target, GuessId{}, died);
   max_thread_ = threads_.empty() ? 0 : threads_.rbegin()->first;
   if (retired_end_ != 0) max_thread_ = std::max(max_thread_, retired_end_ - 1);
 
@@ -294,9 +293,7 @@ void SpeculativeProcess::rollback_to(const StateIndex& target) {
   {
     obs::Event ev = make_event(obs::EventKind::kRollback);
     ev.thread = target.thread;
-    ev.interval = target.interval;
     ev.a = doomed.size();
-    ev.b = requeued;
     record(ev, target.to_string());
     obs::rollback_distance_hist(live_metrics_)
         .add(static_cast<double>(pre_interval - target.interval));
@@ -304,7 +301,7 @@ void SpeculativeProcess::rollback_to(const StateIndex& target) {
   process_arrivals();
 }
 
-std::size_t SpeculativeProcess::discard_threads(
+void SpeculativeProcess::discard_threads(
     const std::vector<std::uint32_t>& doomed,
     const std::optional<StateIndex>& restore, const GuessId& root,
     std::vector<GuessId>& died) {
@@ -322,7 +319,6 @@ std::size_t SpeculativeProcess::discard_threads(
     if (t.phase == ThreadCtx::Phase::kDoneWaitGuard) {
       obs::Event ev = make_event(obs::EventKind::kThreadResolved);
       ev.thread = t.index;
-      ev.interval = t.interval;
       record(ev, "killed");
     }
     if (t.has_own_guess) died.push_back(t.own_guess);
@@ -403,7 +399,6 @@ std::size_t SpeculativeProcess::discard_threads(
   }
   obs::abort_cascade_depth_hist(live_metrics_)
       .add(static_cast<double>(cascaded));
-  return inputs.size();
 }
 
 void SpeculativeProcess::cut_log(std::uint32_t thread,

@@ -139,7 +139,6 @@ void SpeculativeProcess::do_fork(ThreadCtx& t, const csp::ForkStmt& f) {
     {
       obs::Event fe = make_event(obs::EventKind::kFork);
       fe.thread = t.index;
-      fe.interval = t.interval;
       fe.a = 2;  // SAFE fast path
       record(fe, f.site);
       obs::Event ie = make_event(obs::EventKind::kIntervalBegin);
@@ -151,7 +150,6 @@ void SpeculativeProcess::do_fork(ThreadCtx& t, const csp::ForkStmt& f) {
       // verification machinery.
       obs::Event se = make_event(obs::EventKind::kSafeForkElided);
       se.thread = new_index;
-      se.interval = t.interval;
       se.a = r.machine.state_bytes();
       record(se, f.site);
     }
@@ -185,7 +183,6 @@ void SpeculativeProcess::do_fork(ThreadCtx& t, const csp::ForkStmt& f) {
     {
       obs::Event fe = make_event(obs::EventKind::kFork);
       fe.thread = t.index;
-      fe.interval = t.interval;
       record(fe, f.site);
       obs::Event ie = make_event(obs::EventKind::kIntervalBegin);
       ie.thread = t.join_right_index;
@@ -239,7 +236,6 @@ void SpeculativeProcess::do_fork(ThreadCtx& t, const csp::ForkStmt& f) {
   {
     obs::Event fe = make_event(obs::EventKind::kFork);
     fe.thread = t.index;
-    fe.interval = t.interval;
     fe.guess = guess_ref(guess);
     fe.a = 1;  // speculative
     record(fe, f.site);
@@ -289,7 +285,6 @@ void SpeculativeProcess::do_join_inner(ThreadCtx& left) {
   {
     obs::Event je = make_event(obs::EventKind::kJoin);
     je.thread = left.index;
-    je.interval = left.interval;
     if (!sequential && !safe_join) je.guess = guess_ref(left.join_guess);
     record(je, sequential ? "sequential" : left.join_site);
   }

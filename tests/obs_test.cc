@@ -438,9 +438,6 @@ TEST(ObsRecorder, DisabledRecorderDropsEverything) {
   rec.record(e);
   EXPECT_EQ(rec.count(EventKind::kAbort), 1u);
   EXPECT_EQ(rec.abort_count(AbortReason::kValueFault), 1u);
-  rec.clear();
-  EXPECT_EQ(rec.count(EventKind::kAbort), 0u);
-  EXPECT_TRUE(rec.events().empty());
 }
 
 TEST(ObsRecorder, DisabledRecorderInternsNothing) {

@@ -14,11 +14,13 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/workloads.h"
+#include "event_text.h"
 #include "exec/parallel.h"
 #include "net/message.h"
 #include "obs/profile.h"
@@ -26,6 +28,8 @@
 
 namespace ocsp {
 namespace {
+
+using test::serialize_events;
 
 constexpr int kWorkerCounts[] = {1, 2, 4, 8};
 constexpr std::uint64_t kSeeds[] = {1, 2, 3, 4, 5, 6, 7, 8};
@@ -293,22 +297,6 @@ TEST(ParallelGvt, FenceNeverCommitsPastAStraggler) {
 // Shards=1 bit-for-bit oracle
 // ---------------------------------------------------------------------------
 
-// Serialize every Event field except wall_ns (simulator runs leave it -1,
-// shard recorders stamp real time), with the detail id read back as its
-// string: ids are per recorder.
-std::string serialize_events(const obs::RunRecorder& rec) {
-  std::ostringstream os;
-  for (const auto& e : rec.events()) {
-    os << static_cast<int>(e.kind) << '|' << e.when << '|' << e.process
-       << '|' << e.peer << '|' << e.thread << '|' << e.interval << '|'
-       << e.incarnation << '|' << e.guess.to_string() << '|'
-       << e.guess_from.to_string() << '|' << static_cast<int>(e.reason)
-       << '|' << static_cast<int>(e.control) << '|' << e.msg_id << '|'
-       << e.a << '|' << e.b << '|' << rec.detail(e) << '\n';
-  }
-  return os.str();
-}
-
 TEST(ParallelGvt, SingleShardReproducesSimulatorEventOrderBitForBit) {
   for (const auto& workload : registry_workloads()) {
     const baseline::Scenario scenario = workload.build(/*seed=*/7);
@@ -340,7 +328,7 @@ TEST(ParallelGvt, SingleShardReproducesSimulatorEventOrderBitForBit) {
 }
 
 // Metrics (counters and gauges), window triples and the merged event stream
-// (wall_ns left out) of one run, as text that repeats exactly between runs.
+// of one run, as text that repeats exactly between runs.
 struct RunFingerprint {
   std::string metrics;
   std::string windows;
@@ -421,18 +409,17 @@ TEST(ParallelGvt, CrossShardHandoffRepeatsExactly) {
   }
 }
 
-// The merged stream carries both clocks on every event, and the profiler's
-// time accounting partitions it exactly, as it does a sequential run's.
-TEST(ParallelGvt, MergedRecorderKeepsWallStampsAndAllEvents) {
+// The merged stream is virtual-time ordered, and the profiler's time
+// accounting partitions it exactly, as it does a sequential run's.
+TEST(ParallelGvt, MergedRecorderProfilePartitionsSpans) {
   const auto run = run_windows_probe(4);
   ASSERT_TRUE(run.result.recorder);
   const obs::RunRecorder& rec = *run.result.recorder;
   ASSERT_FALSE(rec.events().empty());
   sim::Time prev = 0;
   for (const auto& e : rec.events()) {
-    EXPECT_GE(e.when, prev);  // merged stream is virtual-time ordered
+    EXPECT_GE(e.when, prev);
     prev = e.when;
-    EXPECT_GE(e.wall_ns, 0) << "event missing wall-clock stamp";
   }
   EXPECT_GT(rec.count(obs::EventKind::kMsgSent), 0u);
   EXPECT_GT(rec.count(obs::EventKind::kMsgDelivered), 0u);
@@ -450,6 +437,43 @@ TEST(ParallelGvt, MergedRecorderKeepsWallStampsAndAllEvents) {
   EXPECT_EQ(span_sum, profile.total_process_ns);
   EXPECT_EQ(profile.global.total(), profile.total_process_ns);
   EXPECT_EQ(sum.ns, profile.global.ns);
+}
+
+// The N-worker merged stream, process by process: each process records on
+// one shard, so its events must be exactly those of the sequential per-link
+// run, every field and detail string, in the same order.  Only the
+// interleaving across processes may differ.  (Runs with the reliable
+// transport stay out: each shard has its own ReliableTransport, so frame
+// and ack sequence numbers inside message details differ.)
+TEST(ParallelGvt, MergedStreamMatchesSequentialPerProcess) {
+  for (const auto& workload : registry_workloads()) {
+    for (std::uint64_t seed : {1, 2, 3}) {
+      const baseline::Scenario scenario = workload.build(seed);
+      const baseline::RunResult ref = sequential_reference(scenario, true);
+      ASSERT_TRUE(ref.recorder);
+      for (int workers : {2, 4, 8}) {
+        const std::string label = workload.name + " seed=" +
+                                  std::to_string(seed) + " workers=" +
+                                  std::to_string(workers);
+        const auto par = exec::run_scenario_parallel(scenario, workers, true,
+                                                     0.0, kDeadline);
+        ASSERT_TRUE(par.result.recorder) << label;
+        const obs::RunRecorder& merged = *par.result.recorder;
+        std::set<ProcessId> processes;
+        for (const auto& e : ref.recorder->events()) {
+          processes.insert(e.process);
+        }
+        for (const auto& e : merged.events()) processes.insert(e.process);
+        for (ProcessId p : processes) {
+          const std::string want = serialize_events(*ref.recorder, p);
+          const std::string got = serialize_events(merged, p);
+          EXPECT_TRUE(want == got)
+              << label << " P" << p << ", first difference at "
+              << first_difference(want, got);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

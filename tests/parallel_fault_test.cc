@@ -11,11 +11,11 @@
 // tags alone, even when every explicit ABORT is lost with the crash.
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
 
 #include "baseline/scenario.h"
 #include "core/workloads.h"
+#include "event_text.h"
 #include "exec/parallel.h"
 #include "fault/plan.h"
 #include "net/message.h"
@@ -23,6 +23,8 @@
 
 namespace ocsp {
 namespace {
+
+using test::serialize_events;
 
 constexpr int kWorkerCounts[] = {1, 2, 4, 8};
 constexpr sim::Time kDeadline = sim::seconds(10);
@@ -164,21 +166,6 @@ TEST(ParallelChaos, FaultCountersMatchSequentialPerLinkRun) {
 // fault-injected recorder stream exactly — including kFaultInjected,
 // kRetransmit, kDuplicateSuppressed, and the crash/recovery events.
 // ---------------------------------------------------------------------------
-
-// Serialize every Event field except wall_ns, detail as its string (as
-// parallel_exec_test does).
-std::string serialize_events(const obs::RunRecorder& rec) {
-  std::ostringstream os;
-  for (const auto& e : rec.events()) {
-    os << static_cast<int>(e.kind) << '|' << e.when << '|' << e.process
-       << '|' << e.peer << '|' << e.thread << '|' << e.interval << '|'
-       << e.incarnation << '|' << e.guess.to_string() << '|'
-       << e.guess_from.to_string() << '|' << static_cast<int>(e.reason)
-       << '|' << static_cast<int>(e.control) << '|' << e.msg_id << '|'
-       << e.a << '|' << e.b << '|' << rec.detail(e) << '\n';
-  }
-  return os.str();
-}
 
 TEST(ParallelChaos, SingleShardReproducesFaultInjectedStreamBitForBit) {
   // One seed per chaos category (seed % 6 selects it).
